@@ -56,6 +56,8 @@ TRACKED: Tuple[Tuple[str, str, str, float], ...] = (
     ("BENCH_columnar", "matching.outcomes_identical", "is_true", 0),
     ("BENCH_columnar", "matching.kernel_speedup", ">=", 3.0),
     ("BENCH_columnar", "sharded.single_shard_identical", "is_true", 0),
+    ("BENCH_columnar", "shared_round.outcomes_identical", "is_true", 0),
+    ("BENCH_columnar", "shared_round.shared_over_unshared", "<=", 1.5),
 )
 
 

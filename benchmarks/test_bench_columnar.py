@@ -27,12 +27,19 @@ path at the scaled advertiser count while returning the *same*
 allocation, bit for bit, across a seeded sweep
 (``test_columnar_pruned_matching_gate``).
 
+A fifth claim (E22) is about Section II sharing paying for itself end
+to end: a steady-state ``mode="shared"`` round -- fragment aggregation
+as one segmented array merge -- costs at most 1.5x a columnar
+``mode="unshared"`` round on the same market and the same occurring
+phrases, with identical outcomes (``test_columnar_shared_round_gate``).
+
 Results land in ``BENCH_columnar.json`` at the repo root; the tracked
 entries (``kernels.speedup``, ``kernels.outcomes_identical``,
 ``sharded.single_shard_identical``, ``matching.kernel_speedup``,
-``matching.outcomes_identical``) feed ``bench_report.py --check``.
-Both tests merge their sections into the JSON instead of overwriting
-it, so either can be re-run alone.
+``matching.outcomes_identical``, ``shared_round.outcomes_identical``,
+``shared_round.shared_over_unshared``) feed ``bench_report.py
+--check``.  Every test merges its section into the JSON instead of
+overwriting it, so each can be re-run alone.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -64,6 +72,9 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_columnar.json"
 KERNEL_SPEEDUP_FLOOR = 3.0
 MATCHING_SPEEDUP_FLOOR = 3.0
 SHARDED_SPEEDUP_FLOOR = 1.8
+SHARED_ROUND_CEILING = 1.5
+SHARED_WARMUP_ROUNDS = 18  # one past the engine's 16-round click horizon
+SHARED_TIMED_ROUNDS = 15
 EQUALITY_SEEDS = 50
 MATCHING_EQUALITY_SEEDS = 50
 SLOTS = [0.3, 0.2, 0.1]
@@ -378,3 +389,90 @@ def test_columnar_pruned_matching_gate(benchmark):
             spec, precomputed=precomputed
         )
     )
+
+
+def _round_outcome(report: RoundReport):
+    return (
+        sorted(report.allocations.items()),
+        report.revenue_cents,
+        report.forgiven_cents,
+        report.displays,
+        report.clicks,
+    )
+
+
+@pytest.mark.experiment("E22")
+def test_columnar_shared_round_gate(benchmark):
+    """Section II shared rounds at steady state: <= 1.5x unshared.
+
+    Both engines run the columnar layout on the scaled Fig. 4 market
+    with unlimited budgets (every throttle problem is trivially
+    unthrottled, so ranking dominates the round) and receive the same
+    occurring phrases.  After warming up past the click horizon, the
+    two engines' rounds are timed alternately; the gate compares median
+    round wall times.  Every round's allocations, revenue, forgiven
+    value, displays and clicks must be identical between the modes.
+    """
+    advertisers, rates = fig4_market(seed=0, median_budget_cents=0, **SCALED)
+    engines = {
+        mode: _engine(advertisers, rates, "columnar", mode=mode, seed=7)
+        for mode in ("shared", "unshared")
+    }
+    rng = random.Random("shared-round")
+    phrases = sorted(rates)
+
+    def occurring():
+        return [p for p in phrases if rng.random() < rates[p]]
+
+    seconds = {mode: [] for mode in engines}
+    identical = True
+    for round_index in range(SHARED_WARMUP_ROUNDS + SHARED_TIMED_ROUNDS):
+        occ = occurring()
+        outcomes = {}
+        for mode, engine in engines.items():
+            start = time.perf_counter()
+            report = engine.run_round(occ)
+            elapsed = time.perf_counter() - start
+            if round_index >= SHARED_WARMUP_ROUNDS:
+                seconds[mode].append(elapsed)
+            outcomes[mode] = _round_outcome(report)
+        same = outcomes["shared"] == outcomes["unshared"]
+        identical = identical and same
+        assert same, f"shared and unshared diverged in round {round_index}"
+
+    medians = {mode: statistics.median(times) for mode, times in seconds.items()}
+    ratio = medians["shared"] / medians["unshared"]
+    _merge_bench_json(
+        {
+            "shared_round": {
+                "advertisers": len(advertisers),
+                "phrases": len(rates),
+                "budgets": "unlimited",
+                "warmup_rounds": SHARED_WARMUP_ROUNDS,
+                "timed_rounds": SHARED_TIMED_ROUNDS,
+                "shared_ms": round(medians["shared"] * 1e3, 2),
+                "unshared_ms": round(medians["unshared"] * 1e3, 2),
+                "shared_over_unshared": round(ratio, 3),
+                "outcomes_identical": identical,
+                "ceiling": SHARED_ROUND_CEILING,
+                "cpu_count": os.cpu_count(),
+            }
+        }
+    )
+    table = ExperimentTable(
+        "E22: steady-state columnar round, shared vs unshared "
+        f"({len(advertisers)} advertisers, {len(rates)} phrases)",
+        ["metric", "value"],
+    )
+    table.add("shared (ms/round)", round(medians["shared"] * 1e3, 2))
+    table.add("unshared (ms/round)", round(medians["unshared"] * 1e3, 2))
+    table.add("shared / unshared", round(ratio, 3))
+    table.add("timed rounds", SHARED_TIMED_ROUNDS)
+    table.show()
+    assert ratio <= SHARED_ROUND_CEILING, (
+        f"a shared round costs {ratio:.2f}x an unshared one "
+        f"(ceiling {SHARED_ROUND_CEILING}x)"
+    )
+
+    shared = engines["shared"]
+    benchmark(lambda: shared.run_round(occurring()))

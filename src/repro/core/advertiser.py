@@ -14,6 +14,7 @@ variables carrying a score, and only the auction engine reads budgets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Iterable, Mapping
 
@@ -49,6 +50,11 @@ class BidPhrase:
         return replace(self, search_rate=search_rate)
 
 
+def is_finite_non_negative(value: float) -> bool:
+    """Whether ``value`` is a finite number ``>= 0`` (NaN and inf fail)."""
+    return math.isfinite(value) and value >= 0.0
+
+
 @dataclass(frozen=True)
 class Advertiser:
     """An advertiser participating in sponsored-search auctions.
@@ -75,20 +81,33 @@ class Advertiser:
     phrase_ctr_factors: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Every check is phrased so that NaN fails it: a NaN bid or
+        # factor would rank differently under the object path's tuple
+        # compare than under the columnar sorts.
         if self.advertiser_id < 0:
             raise InvalidAuctionError("advertiser_id must be non-negative")
-        if self.bid < 0.0:
-            raise InvalidAuctionError(f"bid must be non-negative, got {self.bid!r}")
-        if self.ctr_factor < 0.0:
+        if not is_finite_non_negative(self.bid):
             raise InvalidAuctionError(
-                f"ctr_factor must be non-negative, got {self.ctr_factor!r}"
+                f"bid must be finite and non-negative, got {self.bid!r}"
             )
-        if self.daily_budget < 0.0:
-            raise InvalidAuctionError("daily_budget must be non-negative")
-        bad = [c for c in self.phrase_ctr_factors.values() if c < 0.0]
+        if not is_finite_non_negative(self.ctr_factor):
+            raise InvalidAuctionError(
+                "ctr_factor must be finite and non-negative, "
+                f"got {self.ctr_factor!r}"
+            )
+        if not self.daily_budget >= 0.0:
+            raise InvalidAuctionError(
+                "daily_budget must be non-negative (inf for unbudgeted), "
+                f"got {self.daily_budget!r}"
+            )
+        bad = [
+            c
+            for c in self.phrase_ctr_factors.values()
+            if not is_finite_non_negative(c)
+        ]
         if bad:
             raise InvalidAuctionError(
-                f"phrase ctr factors must be non-negative, got {bad!r}"
+                f"phrase ctr factors must be finite and non-negative, got {bad!r}"
             )
 
     def __hash__(self) -> int:

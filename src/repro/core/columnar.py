@@ -55,7 +55,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.advertiser import Advertiser
+from repro.core.advertiser import Advertiser, is_finite_non_negative
 from repro.core.money import dollars_to_cents
 from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.errors import InvalidAuctionError
@@ -567,16 +567,21 @@ class ColumnarStore:
     # ------------------------------------------------------------------
     def set_bid(self, advertiser_id: int, bid: float) -> None:
         """Change one advertiser's bid in place (views see it instantly)."""
-        if bid < 0.0:
-            raise InvalidAuctionError(f"bid must be non-negative, got {bid!r}")
+        if not is_finite_non_negative(bid):
+            raise InvalidAuctionError(
+                f"bid must be finite and non-negative, got {bid!r}"
+            )
         row = self.row_of(advertiser_id)
         self.bids[row] = bid
         self.bid_cents[row] = dollars_to_cents(bid)
 
     def set_budget(self, advertiser_id: int, daily_budget: float) -> None:
         """Change one advertiser's daily budget in place."""
-        if daily_budget < 0.0:
-            raise InvalidAuctionError("daily_budget must be non-negative")
+        if not daily_budget >= 0.0:
+            raise InvalidAuctionError(
+                "daily_budget must be non-negative (inf for unbudgeted), "
+                f"got {daily_budget!r}"
+            )
         row = self.row_of(advertiser_id)
         self.budget_cents[row] = (
             UNBUDGETED_CENTS

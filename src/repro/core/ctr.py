@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, Tuple
 
+from repro.core.advertiser import is_finite_non_negative
 from repro.errors import InvalidAuctionError
 
 __all__ = [
@@ -74,15 +75,22 @@ class SeparableCTRModel:
         factors = tuple(float(d) for d in slot_factors)
         if not factors:
             raise InvalidAuctionError("at least one slot factor is required")
-        if any(d < 0.0 or d > 1.0 for d in factors):
+        if not all(0.0 <= d <= 1.0 for d in factors):  # NaN fails too
             raise InvalidAuctionError(f"slot factors must be in [0, 1]: {factors!r}")
         if any(factors[j] < factors[j + 1] for j in range(len(factors) - 1)):
             raise InvalidAuctionError(
                 "slot factors must be non-increasing (slot 1 is most clickable); "
                 f"got {factors!r}"
             )
-        if any(c < 0.0 for c in advertiser_factors.values()):
-            raise InvalidAuctionError("advertiser factors must be non-negative")
+        bad = [
+            c
+            for c in advertiser_factors.values()
+            if not is_finite_non_negative(c)
+        ]
+        if bad:
+            raise InvalidAuctionError(
+                f"advertiser factors must be finite and non-negative, got {bad!r}"
+            )
         object.__setattr__(self, "advertiser_factors", dict(advertiser_factors))
         object.__setattr__(self, "slot_factors", factors)
 
@@ -148,7 +156,7 @@ class MatrixCTRModel:
                 f"all CTR rows must have the same number of slots, got {lengths!r}"
             )
         for i, row in converted.items():
-            if any(x < 0.0 or x > 1.0 for x in row):
+            if not all(0.0 <= x <= 1.0 for x in row):
                 raise InvalidAuctionError(
                     f"CTRs must be probabilities in [0, 1]; row {i} is {row!r}"
                 )

@@ -651,16 +651,18 @@ class SharedAuctionEngine:
         self, occurring: Optional[Iterable[str]] = None
     ) -> RoundReport:
         """The uninstrumented round resolution (see :meth:`run_round`)."""
-        round_index = self._round_index
-        self._round_index += 1
         phrases = (
             sorted(occurring)
             if occurring is not None
             else self.sample_occurring_phrases()
         )
+        # Validate before the round clock moves: a rejected round must
+        # leave no trace in expiry or click timing.
         unknown = [p for p in phrases if p not in self.phrase_advertisers]
         if unknown:
             raise InvalidAuctionError(f"no advertisers bid on {unknown!r}")
+        round_index = self._round_index
+        self._round_index += 1
         report = RoundReport(round_index, tuple(phrases))
 
         self._deliver_due_clicks(round_index, report)
@@ -692,10 +694,10 @@ class SharedAuctionEngine:
 
     def _serve_query(self, phrase: str) -> RoundReport:
         """The uninstrumented single-query tick (see :meth:`serve_query`)."""
-        round_index = self._round_index
-        self._round_index += 1
         if phrase not in self.phrase_advertisers:
             raise InvalidAuctionError(f"no advertisers bid on {[phrase]!r}")
+        round_index = self._round_index
+        self._round_index += 1
         report = RoundReport(round_index, (phrase,))
         self._deliver_due_clicks(round_index, report)
         if self.throttle_mode == "bounded":

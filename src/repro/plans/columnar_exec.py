@@ -4,27 +4,37 @@ The object-path :class:`repro.plans.executor.PlanExecutor` answers each
 round by walking the greedy plan DAG, materializing one
 :class:`~repro.core.topk.TopKList` per operator node.  With the
 population in a :class:`repro.core.columnar.ColumnarStore`, the same
-sharing structure collapses to two vectorized steps:
+sharing structure collapses to one *segmented top-k* kernel
+(:func:`segmented_top_k`: one ``np.lexsort`` ranking the candidates by
+``(-score, id)``, then one integer sort of ``(segment, rank)`` keys that
+keeps the first ``k`` of each segment) applied twice per round:
 
-1. every needed *fragment* (Section II-D.1 equivalence class of
-   advertisers occurring in the same queries) is top-k'd **once** per
-   round by :func:`repro.core.columnar.columnar_top_k` over its row
-   slice;
-2. each requested query's answer is the ``⊕``-merge of its fragments'
-   k-lists -- exact because fragments partition the query's variable
-   set, and the binary top-k merge of exact per-part top-k lists is the
-   exact top-k of the union (axioms A1-A4).
+1. **Fragment stage.**  The rows of every needed *fragment* (Section
+   II-D.1 equivalence class of advertisers occurring in the same
+   queries) are concatenated and ranked once, segmented by fragment --
+   each fragment is scanned once per round however many queries share
+   it, which is the paper's sharing.
+2. **Query stage.**  Each requested query gathers its fragments'
+   survivors through a query -> fragment CSR index built at
+   construction, and a second ranking, segmented by query, keeps its
+   top ``k``.
 
-This keeps the paper's sharing (a fragment shared by ten queries is
-scanned once, not ten times) while replacing every per-advertiser
-Python loop with ``np.argpartition``.  The greedy plan itself is never
-built: fragment identification is the cheap first stage of planning,
-and the merge tree above fragments is a balanced left fold, which is
-sufficient because ``⊕`` is associative and commutative -- answers are
-byte-identical to the plan executor's, as the layout differential
-asserts.
+Answers are exactly -- byte for byte -- a left fold of
+:func:`repro.core.topk.top_k_merge` over per-fragment
+:func:`repro.core.columnar.columnar_top_k` lists: fragments partition
+each query's variable set, so no advertiser id occurs twice among a
+query's candidates, and ``(-score, id)`` is a strict total order over
+distinct ids.  That identity needs NaN-free scores (NaN orders
+differently under ``np.lexsort`` than under the tuple compare), which
+is why the advertiser and CTR-model constructors reject non-finite
+bids and factors.  The greedy plan itself is never built: fragment
+identification is the cheap first stage of planning.  The counters
+keep the fold's cost-model meaning -- ``merges_performed`` is
+``sum(|cover| - 1)`` over the requested queries and
+``advertisers_scanned`` the total size of the needed fragments -- and
+reach the collector in bulk, once per round.
 
-Cross-round caching (``exec_cache=True``) runs in *array space*
+Cross-round caching (``exec_cache=True``) runs in the same array space
 (``cross_round=True``): instead of the object executor's per-variable
 score dicts and DAG-node ancestor-cone walks, the executor keeps a
 full-length last-seen score column, a seen mask, per-row and
@@ -37,20 +47,23 @@ declared-vs-diffed soundness contract as
 :class:`repro.plans.executor.CrossRoundPlanExecutor`).  The
 "invalidation cone" of a dirty row is simply its fragment: a
 row-to-fragment index map turns the dirty rows into dirty fragments in
-O(|dirty|), clean fragments replay their cached
-:class:`~repro.core.topk.TopKList` with zero scans, and a per-query
-operand-identity memo skips the final merges when every fragment list
-is literally the same object as last time (the columnar analogue of
-the object cache's merge-free revalidation).
+O(|dirty|).  The fragment stage then rescans only dirty fragments into
+a resident ``(fragment, k)`` top-k table, clean fragments replay their
+table rows with zero scans, and a query is re-merged only when one of
+its fragments was rescanned since the query was last answered (a
+per-fragment rescan stamp against a per-query answer stamp); otherwise
+its previous answer is served merge-free -- the columnar analogue of
+the object cache's revalidation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.columnar import ColumnarStore, columnar_top_k, require_numpy
-from repro.core.topk import TopKList, top_k_merge
+from repro.core.columnar import ColumnarStore, require_numpy
+from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.fragments import identify_fragments
@@ -61,7 +74,68 @@ try:  # pragma: no cover - numpy ships with the package
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["ColumnarExecResult", "ColumnarFragmentExecutor"]
+__all__ = ["ColumnarExecResult", "ColumnarFragmentExecutor", "segmented_top_k"]
+
+
+def segmented_top_k(
+    k: int, scores, ids, segments, members
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Every segment's top ``k`` candidates, best first.
+
+    Candidates are drawn from a *pool* of scored entries: pair ``j``
+    makes pool entry ``members[j]`` a candidate of segment
+    ``segments[j]``, so one entry can compete in many segments (a
+    fragment's survivors in every query of its cover).  One
+    ``np.lexsort`` ranks the pool by ``(-score, id)`` -- the
+    :class:`~repro.core.topk.TopKList` rank order, higher score first
+    and ties by lower id -- and one integer sort of ``segment * len(pool)
+    + rank`` keys groups the pairs by segment in rank order, so the
+    first ``k`` of each segment are its exact top-k.
+
+    Args:
+        k: Per-segment capacity (positive).
+        scores: float64 pool scores (finite).
+        ids: Parallel int64 advertiser ids; a segment's candidates must
+            carry distinct ids.
+        segments: Non-negative int64 segment label per pair.
+        members: Parallel int64 pool index per pair.
+
+    Returns:
+        ``(segments, members)`` of the kept pairs, grouped by ascending
+        segment and best first within each.
+    """
+    size = len(scores)
+    if not size:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    by_rank = np.lexsort((ids, -scores))
+    rank = np.empty(size, dtype=np.int64)
+    rank[by_rank] = np.arange(size)
+    keys = segments * size
+    keys += rank[members]
+    keys.sort()
+    labels = keys // size
+    if len(keys) > k:
+        # Position within the segment: index minus the segment's first.
+        within = np.arange(len(keys))
+        within -= np.searchsorted(labels, labels)
+        keep = within < k
+        keys = keys[keep]
+        labels = labels[keep]
+    keys -= labels * size
+    return labels, by_rank[keys]
+
+
+def _expand(starts, lengths) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Flat positions of the runs ``[starts[i], starts[i] + lengths[i])``.
+
+    Returns ``(positions, owner)``: the runs' positions concatenated in
+    order, and for each position the index ``i`` of its run.
+    """
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    offsets = starts - np.cumsum(lengths) + lengths
+    positions = np.arange(len(owner))
+    positions += offsets[owner]
+    return positions, owner
 
 
 @dataclass
@@ -70,8 +144,9 @@ class ColumnarExecResult:
 
     Attributes:
         answers: ``{query name: TopKList}`` for every requested query.
-        merges_performed: Binary top-k merges (one per extra fragment
-            beyond the first in each requested query's cover).
+        merges_performed: Binary top-k merges of the fold the kernel
+            replaces (one per extra fragment beyond the first in each
+            requested query's cover).
         advertisers_scanned: Rows read by fragment materializations
             (each needed fragment is scanned exactly once per round --
             the sharing the paper's cost model counts).
@@ -81,8 +156,8 @@ class ColumnarExecResult:
         nodes_invalidated: Cross-round mode only: resident cached
             fragments newly marked dirty by this round's dirty rows.
         nodes_revalidated: Cross-round mode only: merges skipped
-            because every operand of a query's fold was identical (by
-            object identity) to the last time the query was answered.
+            because no fragment of a query's cover was rescanned since
+            the query was last answered.
         bypassed: Cross-round mode only: the autotuner judged the
             observed dirty fraction too high for caching to pay and the
             round ran fresh (scores were still absorbed, so the cached
@@ -109,15 +184,16 @@ class ColumnarFragmentExecutor:
         store: The columnar population; fragment member ids are
             translated to row indices once at construction.
         k: Result capacity (the engine passes ``slots + 1`` for GSP).
-        collector: Counts ``plan.merges`` per fragment merge and
-            ``plan.leaf_scans`` per row read, so shared-mode work tables
-            keep their meaning under the columnar layout.  In
-            cross-round mode additionally ``plan.nodes_reused`` /
-            ``plan.nodes_invalidated`` / ``plan.revalidations``.
-        cross_round: Keep fragment lists alive between rounds and
+        collector: Counts ``plan.merges`` and ``plan.leaf_scans`` with
+            the meaning documented on :class:`ColumnarExecResult`, so
+            shared-mode work tables keep their meaning under the
+            columnar layout.  In cross-round mode additionally
+            ``plan.nodes_reused`` / ``plan.nodes_invalidated`` /
+            ``plan.revalidations``.
+        cross_round: Keep fragment top-k lists alive between rounds and
             rescore only fragments touching a dirty row (see the module
             docstring).  ``False`` (the default) answers each round
-            from scratch with only a within-round fragment memo.
+            from scratch.
         verify: Cross-round mode only: keep the exact score diff as a
             soundness cross-check on the declared dirty sets -- an
             undeclared score change raises ``InvalidPlanError``.
@@ -148,6 +224,7 @@ class ColumnarFragmentExecutor:
     ) -> None:
         if k <= 0:
             raise InvalidPlanError(f"k must be positive, got {k}")
+        require_numpy()
         self.k = k
         self.store = store
         self.collector = collector
@@ -155,20 +232,32 @@ class ColumnarFragmentExecutor:
         self.verify = verify
         self.autotuner = autotuner
         fragments = identify_fragments(instance)
-        self._fragment_rows: List = [
-            store.rows_of(sorted(fragment.variables))
-            for fragment in fragments
-        ]
-        self._fragments_of: Dict[str, Tuple[int, ...]] = {}
-        covers: Dict[str, List[int]] = {
-            query.name: [] for query in instance.queries
+        count = len(fragments)
+        # Fragment -> member rows, as one CSR: fragment ``f`` owns
+        # ``_frag_rows[_frag_start[f]:_frag_start[f] + _frag_size[f]]``.
+        members = [sorted(fragment.variables) for fragment in fragments]
+        self._frag_size = np.fromiter(
+            map(len, members), dtype=np.int64, count=count
+        )
+        self._frag_start = np.cumsum(self._frag_size) - self._frag_size
+        self._frag_rows = store.rows_of(list(chain.from_iterable(members)))
+        # Query -> cover fragments, as a second CSR.
+        self._query_index: Dict[str, int] = {
+            query.name: index for index, query in enumerate(instance.queries)
         }
+        covers: List[List[int]] = [[] for _ in instance.queries]
         for index, fragment in enumerate(fragments):
             for name in fragment.query_names:
-                covers[name].append(index)
-        self._fragments_of = {
-            name: tuple(indices) for name, indices in covers.items()
-        }
+                covers[self._query_index[name]].append(index)
+        self._cover_len = np.fromiter(
+            map(len, covers), dtype=np.int64, count=len(covers)
+        )
+        self._cover_start = np.cumsum(self._cover_len) - self._cover_len
+        self._cover_frags = np.fromiter(
+            chain.from_iterable(covers),
+            dtype=np.int64,
+            count=int(self._cover_len.sum()),
+        )
         self._trivial: Dict[str, int] = {
             query.name: next(iter(query.variables))
             for query in instance.trivial_queries
@@ -178,9 +267,7 @@ class ColumnarFragmentExecutor:
         self._subscription = None
         self._pending_dirty: Set[int] = set()
         if cross_round:
-            require_numpy()
             size = store.size
-            count = len(fragments)
             # Last absorbed score per row plus a seen mask: the array
             # analogue of the object executor's ``_last_scores`` dict
             # (absent key == never seen == always dirty).
@@ -191,19 +278,28 @@ class ColumnarFragmentExecutor:
             self._row_epoch = np.zeros(size, dtype=np.int64)
             self._frag_epoch = np.zeros(count, dtype=np.int64)
             self._frag_dirty = np.ones(count, dtype=bool)
-            self._frag_value: List[Optional[TopKList]] = [None] * count
+            # The resident top-k table: fragment ``f``'s cached list is
+            # ``_top_len[f]`` entries from flat position ``f * k``.
+            self._top_scores = np.zeros(count * k, dtype=np.float64)
+            self._top_ids = np.zeros(count * k, dtype=np.int64)
+            self._top_len = np.zeros(count, dtype=np.int64)
+            # Round of each fragment's last rescan and of each query's
+            # last merge: a query whose answer is at least as new as
+            # every fragment of its cover revalidates without merging.
+            self._frag_stamp = np.zeros(count, dtype=np.int64)
+            self._answer_stamp = np.full(len(covers), -1, dtype=np.int64)
+            self._answer_value: List[Optional[TopKList]] = [None] * len(
+                covers
+            )
             # The vectorized invalidation cone: each row belongs to at
             # most one fragment, so dirty rows map to dirty fragments
             # with one fancy-index write.
             self._fragment_of_row = np.full(size, -1, dtype=np.int64)
-            for index, rows in enumerate(self._fragment_rows):
-                self._fragment_of_row[rows] = index
+            self._fragment_of_row[self._frag_rows] = np.repeat(
+                np.arange(count), self._frag_size
+            )
             self._trivial_value: Dict[str, TopKList] = {}
             self._trivial_epoch: Dict[str, int] = {}
-            # Per-query merge memo: the operand tuple (by identity) and
-            # the merged answer it produced.
-            self._answer_ops: Dict[str, Tuple[TopKList, ...]] = {}
-            self._answer_value: Dict[str, TopKList] = {}
             self._dirty_rows_last = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -275,7 +371,8 @@ class ColumnarFragmentExecutor:
             score_by_row: Full-length float64 array of effective scores;
                 only rows belonging to the requested queries are read
                 (the engine fills exactly the occurring rows).
-            names: The requested (canonical) query names.
+            names: The requested (canonical) query names; a name listed
+                twice is answered (and counted) once.
             rows: The round's scored row indices (ascending) -- the
                 union of the requested queries' member rows.  The
                 engine passes its occurring-row array; ``None`` derives
@@ -298,37 +395,63 @@ class ColumnarFragmentExecutor:
             return self._run_fresh(score_by_row, names)
         return self._run_cross_round(score_by_row, names, rows, dirty)
 
+    def _resolve(
+        self, names: Sequence[str]
+    ) -> Tuple[List[str], List[str], List[str], "np.ndarray"]:
+        """Validate and split the requested names before any work.
+
+        Returns:
+            ``(ordered, trivial, queries, indices)``: the distinct names
+            in request order, the trivial ones, the non-trivial ones,
+            and the latter's query indices.
+        """
+        ordered = list(dict.fromkeys(names))
+        trivial: List[str] = []
+        queries: List[str] = []
+        indices: List[int] = []
+        for name in ordered:
+            if name in self._trivial:
+                trivial.append(name)
+                continue
+            index = self._query_index.get(name)
+            if index is None:
+                raise InvalidPlanError(f"unknown query {name!r}")
+            queries.append(name)
+            indices.append(index)
+        return ordered, trivial, queries, np.array(indices, dtype=np.int64)
+
     def _run_fresh(
         self, score_by_row, names: Sequence[str]
     ) -> ColumnarExecResult:
-        """One round from scratch, with only a within-round memo."""
+        """One round from scratch: both kernel stages over every needed
+        fragment."""
+        ordered, trivial, queries, indices = self._resolve(names)
         result = ColumnarExecResult(answers={})
-        fragment_lists: Dict[int, TopKList] = {}
-        collector = self.collector
-        for name in names:
-            trivial_variable = self._trivial.get(name)
-            if trivial_variable is not None:
-                row = self.store.row_of(trivial_variable)
-                result.answers[name] = TopKList.singleton(
-                    self.k, float(score_by_row[row]), trivial_variable
+        answers: Dict[str, TopKList] = {}
+        for name in trivial:
+            answers[name] = self._trivial_answer(name, score_by_row)
+        result.advertisers_scanned += len(trivial)
+        if queries:
+            fragments, owner = self._covers(indices)
+            needed = self._needed(fragments)
+            scores, ids, counts = self._scan(score_by_row, needed, result)
+            # Where each needed fragment's survivors sit in the pool.
+            run_start = np.zeros(len(self._frag_size), dtype=np.int64)
+            run_len = np.zeros(len(self._frag_size), dtype=np.int64)
+            run_start[needed] = np.cumsum(counts) - counts
+            run_len[needed] = counts
+            answers.update(
+                zip(
+                    queries,
+                    self._merge(
+                        len(queries), fragments, owner, run_start, run_len,
+                        scores, ids,
+                    ),
                 )
-                result.advertisers_scanned += 1
-                if collector.enabled:
-                    collector.incr(metric_names.PLAN_LEAF_SCANS)
-                continue
-            cover = self._fragments_of.get(name)
-            if cover is None:
-                raise InvalidPlanError(f"unknown query {name!r}")
-            parts: List[TopKList] = []
-            for index in cover:
-                ranked = fragment_lists.get(index)
-                if ranked is None:
-                    ranked = self._scan_fragment(
-                        index, score_by_row, result
-                    )
-                    fragment_lists[index] = ranked
-                parts.append(ranked)
-            result.answers[name] = self._fold(parts, result)
+            )
+            result.merges_performed += len(fragments) - len(queries)
+        result.answers = {name: answers[name] for name in ordered}
+        self._count(result)
         return result
 
     def _run_cross_round(
@@ -367,23 +490,18 @@ class ColumnarFragmentExecutor:
             # absorbed above (and dirty fragments stay marked), so the
             # resident lists remain sound for whenever caching resumes.
             result = self._run_fresh(score_by_row, names)
-            result.nodes_invalidated = invalidated
             result.bypassed = True
             self.bypass_rounds += 1
             autotuner.record_bypass()
-            if self.collector.enabled and invalidated:
-                self.collector.incr(
-                    metric_names.PLAN_NODES_INVALIDATED, invalidated
-                )
             working_set = result.advertisers_scanned
         else:
             result = self._run_cached(score_by_row, names)
-            result.nodes_invalidated = invalidated
-            if self.collector.enabled and invalidated:
-                self.collector.incr(
-                    metric_names.PLAN_NODES_INVALIDATED, invalidated
-                )
             working_set = result.nodes_reused + result.advertisers_scanned
+        result.nodes_invalidated = invalidated
+        if self.collector.enabled and invalidated:
+            self.collector.incr(
+                metric_names.PLAN_NODES_INVALIDATED, invalidated
+            )
         if declared_ids is not None and self._pending_dirty:
             # Scored advertisers are absorbed; events for everyone else
             # survive until they next occur.
@@ -401,17 +519,15 @@ class ColumnarFragmentExecutor:
 
     def _rows_for(self, names: Sequence[str]) -> "np.ndarray":
         """Scored-row union of the requested queries (sorted, unique)."""
+        _, trivial, _, indices = self._resolve(names)
         mask = np.zeros(self.store.size, dtype=bool)
-        for name in names:
-            trivial_variable = self._trivial.get(name)
-            if trivial_variable is not None:
-                mask[self.store.row_of(trivial_variable)] = True
-                continue
-            cover = self._fragments_of.get(name)
-            if cover is None:
-                raise InvalidPlanError(f"unknown query {name!r}")
-            for index in cover:
-                mask[self._fragment_rows[index]] = True
+        for name in trivial:
+            mask[self.store.row_of(self._trivial[name])] = True
+        fragments, _ = self._covers(indices)
+        positions, _ = _expand(
+            self._frag_start[fragments], self._frag_size[fragments]
+        )
+        mask[self._frag_rows[positions]] = True
         return np.flatnonzero(mask)
 
     def _absorb_scores(
@@ -468,105 +584,179 @@ class ColumnarFragmentExecutor:
         self._row_epoch[dirty_rows] += 1
         fragment_ids = self._fragment_of_row[dirty_rows]
         fragment_ids = np.unique(fragment_ids[fragment_ids >= 0])
-        invalidated = 0
-        for index in fragment_ids:
-            index = int(index)
-            if not self._frag_dirty[index] and (
-                self._frag_value[index] is not None
-            ):
-                invalidated += 1
-            self._frag_dirty[index] = True
+        # Fragments start dirty, so a clean one holds a resident list.
+        invalidated = int(np.count_nonzero(~self._frag_dirty[fragment_ids]))
+        self._frag_dirty[fragment_ids] = True
         return int(len(dirty_rows)), invalidated
 
     def _run_cached(
         self, score_by_row, names: Sequence[str]
     ) -> ColumnarExecResult:
         """Serve requested queries, rescanning only dirty fragments."""
+        ordered, trivial, queries, indices = self._resolve(names)
         result = ColumnarExecResult(answers={})
-        collector = self.collector
-        for name in names:
-            trivial_variable = self._trivial.get(name)
-            if trivial_variable is not None:
-                row = self.store.row_of(trivial_variable)
-                epoch = int(self._row_epoch[row])
-                cached = self._trivial_value.get(name)
-                if cached is not None and self._trivial_epoch[name] == epoch:
-                    result.answers[name] = cached
-                    result.nodes_reused += 1
-                    if collector.enabled:
-                        collector.incr(metric_names.PLAN_NODES_REUSED)
-                    continue
-                answer = TopKList.singleton(
-                    self.k, float(score_by_row[row]), trivial_variable
+        answers: Dict[str, TopKList] = {}
+        for name in trivial:
+            row = self.store.row_of(self._trivial[name])
+            epoch = int(self._row_epoch[row])
+            cached = self._trivial_value.get(name)
+            if cached is not None and self._trivial_epoch[name] == epoch:
+                answers[name] = cached
+                result.nodes_reused += 1
+                continue
+            answer = self._trivial_answer(name, score_by_row)
+            self._trivial_value[name] = answer
+            self._trivial_epoch[name] = epoch
+            answers[name] = answer
+            result.advertisers_scanned += 1
+        if queries:
+            fragments, owner = self._covers(indices)
+            needed = self._needed(fragments)
+            stale = needed[self._frag_dirty[needed]]
+            if len(stale):
+                self._rescan(score_by_row, stale, result)
+            # Every cover touch beyond a fragment's one rescan is served
+            # from the table (within-round sharing included).
+            result.nodes_reused += len(fragments) - len(stale)
+            cover_len = self._cover_len[indices]
+            newest = np.maximum.reduceat(
+                self._frag_stamp[fragments], np.cumsum(cover_len) - cover_len
+            )
+            remerge = self._answer_stamp[indices] < newest
+            result.nodes_revalidated += int(
+                (cover_len[~remerge] - 1).sum()
+            )
+            if remerge.any():
+                merged = indices[remerge]
+                fragments, owner = self._covers(merged)
+                lists = self._merge(
+                    len(merged), fragments, owner,
+                    np.arange(len(self._top_len)) * self.k, self._top_len,
+                    self._top_scores, self._top_ids,
                 )
-                self._trivial_value[name] = answer
-                self._trivial_epoch[name] = epoch
-                result.answers[name] = answer
-                result.advertisers_scanned += 1
-                if collector.enabled:
-                    collector.incr(metric_names.PLAN_LEAF_SCANS)
-                continue
-            cover = self._fragments_of.get(name)
-            if cover is None:
-                raise InvalidPlanError(f"unknown query {name!r}")
-            parts: List[TopKList] = []
-            for index in cover:
-                if self._frag_dirty[index] or self._frag_value[index] is None:
-                    ranked = self._scan_fragment(index, score_by_row, result)
-                    self._frag_value[index] = ranked
-                    self._frag_dirty[index] = False
-                    self._frag_epoch[index] += 1
-                else:
-                    ranked = self._frag_value[index]
-                    result.nodes_reused += 1
-                    if collector.enabled:
-                        collector.incr(metric_names.PLAN_NODES_REUSED)
-                parts.append(ranked)
-            if len(parts) == 1:
-                result.answers[name] = parts[0]
-                continue
-            ops = tuple(parts)
-            previous = self._answer_ops.get(name)
-            if previous is not None and all(
-                a is b for a, b in zip(previous, ops)
-            ):
-                # Merge-free revalidation: every operand is literally
-                # the list the last fold consumed, so the fold's value
-                # is unchanged.
-                result.answers[name] = self._answer_value[name]
-                skipped = len(parts) - 1
-                result.nodes_revalidated += skipped
-                if collector.enabled:
-                    collector.incr(metric_names.PLAN_REVALIDATIONS, skipped)
-                continue
-            answer = self._fold(parts, result)
-            self._answer_ops[name] = ops
-            self._answer_value[name] = answer
-            result.answers[name] = answer
+                for index, answer in zip(merged.tolist(), lists):
+                    self._answer_value[index] = answer
+                self._answer_stamp[merged] = self.rounds
+                result.merges_performed += len(fragments) - len(merged)
+            for name, index in zip(queries, indices.tolist()):
+                answers[name] = self._answer_value[index]
+        result.answers = {name: answers[name] for name in ordered}
+        self._count(result)
         return result
 
     # ------------------------------------------------------------------
-    # shared helpers
+    # kernel stages
     # ------------------------------------------------------------------
-    def _scan_fragment(
-        self, index: int, score_by_row, result: ColumnarExecResult
-    ) -> TopKList:
-        rows = self._fragment_rows[index]
-        ranked = columnar_top_k(
-            self.k, score_by_row[rows], self.store.ids[rows]
+    def _covers(self, indices) -> Tuple["np.ndarray", "np.ndarray"]:
+        """Concatenated cover fragments of the given queries, plus each
+        entry's position in ``indices``."""
+        positions, owner = _expand(
+            self._cover_start[indices], self._cover_len[indices]
+        )
+        return self._cover_frags[positions], owner
+
+    def _needed(self, fragments) -> "np.ndarray":
+        """The distinct fragments among ``fragments``, ascending."""
+        return np.flatnonzero(
+            np.bincount(fragments, minlength=len(self._frag_size))
+        )
+
+    def _scan(
+        self, score_by_row, fragments, result: ColumnarExecResult
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """Fragment stage: the exact top-k of each listed fragment.
+
+        Returns:
+            ``(scores, ids, counts)``: the survivors grouped by fragment
+            in listed order, best first, and how many each kept.
+        """
+        positions, owner = _expand(
+            self._frag_start[fragments], self._frag_size[fragments]
+        )
+        rows = self._frag_rows[positions]
+        scores = score_by_row[rows]
+        ids = self.store.ids[rows]
+        labels, kept = segmented_top_k(
+            self.k, scores, ids, owner, np.arange(len(rows))
         )
         result.advertisers_scanned += len(rows)
-        if self.collector.enabled:
-            self.collector.incr(metric_names.PLAN_LEAF_SCANS, len(rows))
-        return ranked
+        counts = np.bincount(labels, minlength=len(fragments))
+        return scores[kept], ids[kept], counts
 
-    def _fold(
-        self, parts: List[TopKList], result: ColumnarExecResult
-    ) -> TopKList:
-        answer = parts[0]
-        for part in parts[1:]:
-            answer = top_k_merge(answer, part)
-            result.merges_performed += 1
-            if self.collector.enabled:
-                self.collector.incr(metric_names.PLAN_MERGES)
-        return answer
+    def _rescan(
+        self, score_by_row, stale, result: ColumnarExecResult
+    ) -> None:
+        """Refresh the resident table rows of the stale fragments."""
+        scores, ids, counts = self._scan(score_by_row, stale, result)
+        slots, _ = _expand(stale * self.k, counts)
+        self._top_scores[slots] = scores
+        self._top_ids[slots] = ids
+        self._top_len[stale] = counts
+        self._frag_dirty[stale] = False
+        self._frag_epoch[stale] += 1
+        self._frag_stamp[stale] = self.rounds
+
+    def _merge(
+        self, count: int, fragments, owner, run_start, run_len, scores, ids
+    ) -> List[TopKList]:
+        """Query stage: each query's top-k over its fragments' survivors.
+
+        Args:
+            count: Number of queries.
+            fragments: The queries' concatenated cover fragments.
+            owner: Per cover entry, the query (``0..count-1``) it
+                belongs to.
+            run_start: Per fragment, where its survivors start in
+                ``scores`` / ``ids``.
+            run_len: Per fragment, how many survivors it has.
+            scores: float64 survivor scores.
+            ids: Parallel int64 survivor ids.
+
+        Returns:
+            One :class:`TopKList` per query, in query order.
+        """
+        positions, entry = _expand(run_start[fragments], run_len[fragments])
+        labels, chosen = segmented_top_k(
+            self.k, scores, ids, owner[entry], positions
+        )
+        counts = np.bincount(labels, minlength=count).tolist()
+        chosen_scores = scores[chosen].tolist()
+        chosen_ids = ids[chosen].tolist()
+        k = self.k
+        lists: List[TopKList] = []
+        end = 0
+        for size in counts:
+            start, end = end, end + size
+            lists.append(
+                TopKList.from_ranked(
+                    k,
+                    tuple(
+                        map(
+                            ScoredAdvertiser,
+                            chosen_scores[start:end],
+                            chosen_ids[start:end],
+                        )
+                    ),
+                )
+            )
+        return lists
+
+    def _trivial_answer(self, name: str, score_by_row) -> TopKList:
+        variable = self._trivial[name]
+        return TopKList.singleton(
+            self.k, float(score_by_row[self.store.row_of(variable)]), variable
+        )
+
+    def _count(self, result: ColumnarExecResult) -> None:
+        """Move the round's work counters to the collector in bulk."""
+        collector = self.collector
+        if not collector.enabled:
+            return
+        for name, value in (
+            (metric_names.PLAN_LEAF_SCANS, result.advertisers_scanned),
+            (metric_names.PLAN_MERGES, result.merges_performed),
+            (metric_names.PLAN_NODES_REUSED, result.nodes_reused),
+            (metric_names.PLAN_REVALIDATIONS, result.nodes_revalidated),
+        ):
+            if value:
+                collector.incr(name, value)

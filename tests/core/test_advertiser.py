@@ -7,6 +7,9 @@ import pytest
 from repro.core.advertiser import Advertiser, BidPhrase
 from repro.errors import InvalidAuctionError
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestBidPhrase:
     def test_basic_construction(self):
@@ -67,6 +70,35 @@ class TestAdvertiser:
     def test_negative_phrase_factor_rejected(self):
         with pytest.raises(InvalidAuctionError):
             Advertiser(0, bid=1.0, phrase_ctr_factors={"music": -0.2})
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_non_finite_bid_rejected(self, value):
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            Advertiser(0, bid=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_non_finite_ctr_factor_rejected(self, value):
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            Advertiser(0, bid=1.0, ctr_factor=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_non_finite_phrase_factor_rejected(self, value):
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            Advertiser(0, bid=1.0, phrase_ctr_factors={"music": value})
+
+    def test_nan_budget_rejected_but_inf_means_unbudgeted(self):
+        with pytest.raises(InvalidAuctionError, match="daily_budget"):
+            Advertiser(0, bid=1.0, daily_budget=NAN)
+        assert Advertiser(0, bid=1.0, daily_budget=INF).daily_budget == INF
+
+    def test_ctr_factor_above_one_accepted(self):
+        # Generated markets draw c_i from U(0.5, 1.5): a factor, not a
+        # probability (the slot factor carries the probability bound).
+        assert Advertiser(0, bid=1.0, ctr_factor=1.5).ctr_factor == 1.5
+
+    def test_with_bid_revalidates(self):
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            Advertiser(0, bid=1.0).with_bid(NAN)
 
     def test_score_is_bid_times_factor(self):
         advertiser = Advertiser(0, bid=2.0, ctr_factor=1.3)

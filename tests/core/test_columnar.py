@@ -158,6 +158,17 @@ class TestMutations:
         with pytest.raises(InvalidAuctionError):
             store.set_bid(4, -1.0)
 
+    def test_non_finite_bid_and_nan_budget_rejected(self):
+        store = ColumnarStore(_population())
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InvalidAuctionError, match="finite"):
+                store.set_bid(4, value)
+        with pytest.raises(InvalidAuctionError, match="daily_budget"):
+            store.set_budget(4, float("nan"))
+        # Validate-then-mutate: the rejected writes left the row alone.
+        assert store.bids[store.row_of(4)] == 1.25
+        assert store.budget_cents[store.row_of(4)] == 200
+
     def test_interest_churn_invalidates_phrase_caches(self):
         store = ColumnarStore(_population())
         before = [int(store.ids[r]) for r in store.phrase_rows("sandals")]

@@ -41,6 +41,20 @@ class TestSeparableCTRModel:
         with pytest.raises(InvalidAuctionError):
             SeparableCTRModel({0: 1.0}, [1.5])
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_slot_factor_rejected(self, value):
+        with pytest.raises(InvalidAuctionError, match=r"\[0, 1\]"):
+            SeparableCTRModel({0: 1.0}, [0.3, value])
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_advertiser_factor_rejected(self, value):
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            SeparableCTRModel({0: 1.0, 1: value}, [0.3])
+
     def test_slot_factors_must_be_non_increasing(self):
         with pytest.raises(InvalidAuctionError):
             SeparableCTRModel({0: 1.0}, [0.2, 0.3])
@@ -88,6 +102,10 @@ class TestMatrixCTRModel:
     def test_out_of_range_probability_rejected(self):
         with pytest.raises(InvalidAuctionError):
             MatrixCTRModel({0: [1.2]})
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(InvalidAuctionError):
+            MatrixCTRModel({0: [0.3, float("nan")]})
 
     def test_unknown_row_raises(self):
         model = MatrixCTRModel({0: [0.1]})

@@ -39,7 +39,10 @@ from repro.plans.executor import CrossRoundPlanExecutor
 from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from repro.serving import ServingEngine, TrafficGenerator
+from repro.workloads.fig4 import fig4_market
 from repro.workloads.generator import MarketConfig, generate_market
+
+from tests.plans.fold_reference import FoldReference
 
 DIFFERENTIAL_SEEDS = range(50)
 
@@ -443,3 +446,76 @@ class TestDirtyMaskMatchesObjectCone:
                 assert columnar_exec.row_epoch(
                     store.row_of(i)
                 ) == object_exec.leaf_epoch(i)
+
+
+class TestCounterParity:
+    """The segmented kernel keeps the fold's work counters, in the engine.
+
+    Every ``run_round`` call the engine makes into its columnar
+    executor is replayed on a :class:`FoldReference` (per-fragment
+    lists folded with ``⊕``) over the same score column and names:
+    answers must be identical and ``plan.merges`` / ``plan.leaf_scans``
+    (plus the cached mode's reuse, invalidation and revalidation
+    counts) equal, round for round, on the scaled Fig. 4 market.  The
+    object executors count plan-DAG nodes, not fragments, so their
+    work counters are a different unit; the shoe-store identities
+    against them live in ``tests/instrument/test_cost_accounting.py``.
+    """
+
+    FIELDS = (
+        "merges_performed",
+        "advertisers_scanned",
+        "nodes_reused",
+        "nodes_invalidated",
+        "nodes_revalidated",
+    )
+
+    @pytest.mark.parametrize("exec_cache", [False, True])
+    def test_scaled_fig4_counters_equal_fold_reference(self, exec_cache):
+        advertisers, rates = fig4_market(
+            num_queries=60, num_advertisers=250, num_components=8, seed=0
+        )
+        collector = MetricsCollector()
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates, mode="shared",
+            layout="columnar", seed=1, exec_cache=exec_cache,
+            cache_verify=True, collector=collector,
+        )
+        executor = engine._columnar_exec
+        instance = SharedAggregationInstance(
+            AggregateQuery(phrase, ids, rates[phrase])
+            for phrase, ids in engine.phrase_advertisers.items()
+        )
+        reference = FoldReference(
+            instance, engine._store, engine.k + 1, cross_round=exec_cache
+        )
+        run_round = executor.run_round
+        totals = {name: 0 for name in self.FIELDS}
+
+        def replayed(score_by_row, requested, **kw):
+            result = run_round(score_by_row, requested, **kw)
+            answers, counters = reference.run_round(score_by_row, requested)
+            assert result.answers == answers
+            for name in self.FIELDS:
+                assert getattr(result, name) == counters[name], name
+                totals[name] += counters[name]
+            return result
+
+        executor.run_round = replayed
+        for _ in range(4):
+            engine.run_round()
+        assert totals["merges_performed"] > 0
+        assert collector.counter(names.PLAN_MERGES) == (
+            totals["merges_performed"]
+        )
+        assert collector.counter(names.PLAN_LEAF_SCANS) == (
+            totals["advertisers_scanned"]
+        )
+        if exec_cache:
+            assert totals["nodes_reused"] > 0
+            assert collector.counter(names.PLAN_NODES_REUSED) == (
+                totals["nodes_reused"]
+            )
+            assert collector.counter(names.PLAN_REVALIDATIONS) == (
+                totals["nodes_revalidated"]
+            )

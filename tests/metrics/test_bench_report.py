@@ -57,6 +57,27 @@ class TestEvaluateTracked:
         base.update(overrides)
         return base
 
+    def test_shared_round_slower_than_ceiling_is_regressed(self):
+        benchmarks = self._benchmarks(
+            BENCH_columnar={
+                "shared_round": {
+                    "outcomes_identical": True,
+                    "shared_over_unshared": 4.5,
+                },
+            }
+        )
+        rows = {
+            metric: status
+            for metric, _, _, status in bench_report.evaluate_tracked(
+                benchmarks
+            )
+        }
+        assert (
+            rows["BENCH_columnar:shared_round.shared_over_unshared"]
+            == "REGRESSED"
+        )
+        assert rows["BENCH_columnar:shared_round.outcomes_identical"] == "ok"
+
     def test_missing_file_is_flagged(self):
         rows = bench_report.evaluate_tracked({})
         assert rows and all(status == "MISSING" for *_, status in rows)
@@ -164,6 +185,10 @@ class TestMain:
                     "outcomes_identical": True,
                 },
                 "sharded": {"single_shard_identical": True},
+                "shared_round": {
+                    "outcomes_identical": True,
+                    "shared_over_unshared": 1.0,
+                },
             },
         )
         return tmp_path
@@ -171,7 +196,7 @@ class TestMain:
     def test_healthy_root_passes_check(self, tmp_path, capsys):
         root = self._healthy_root(tmp_path)
         assert bench_report.main(["--root", str(root), "--check"]) == 0
-        assert "17/17 tracked ok" in capsys.readouterr().out
+        assert "19/19 tracked ok" in capsys.readouterr().out
         assert (root / "bench_tables.txt").exists()
 
     def test_output_is_byte_stable(self, tmp_path):
@@ -195,6 +220,10 @@ class TestMain:
                     "outcomes_identical": True,
                 },
                 "sharded": {"single_shard_identical": True},
+                "shared_round": {
+                    "outcomes_identical": True,
+                    "shared_over_unshared": 1.0,
+                },
             },
         )
         assert bench_report.main(["--root", str(root)]) == 0

@@ -78,6 +78,32 @@ class TestConstruction:
         with pytest.raises(InvalidAuctionError, match="no advertisers"):
             engine.serve_query("never-bid-on")
 
+    def test_rejected_query_leaves_no_trace(self):
+        # Validate-then-mutate: a query for an unknown phrase must not
+        # advance the round clock, or every later expiry and click
+        # would shift.  The engine that saw the rejection must stay
+        # identical to a twin that never did.
+        market = small_market()
+        phrases = phrases_of(market)
+        engine = make_engine(market)
+        twin = make_engine(market)
+        schedule = [phrases[i % len(phrases)] for i in range(40)]
+        reports, twin_reports = [], []
+        for index, phrase in enumerate(schedule):
+            if index == 1:
+                with pytest.raises(InvalidAuctionError):
+                    engine.serve_query("never-bid-on")
+                with pytest.raises(InvalidAuctionError):
+                    engine.run_round([phrase, "never-bid-on"])
+            reports.append(engine.serve_query(phrase))
+            twin_reports.append(twin.serve_query(phrase))
+        assert sum(report.clicks for report in twin_reports) > 0
+        assert reports == twin_reports
+        assert (
+            engine.budget_manager.spent_snapshot()
+            == twin.budget_manager.spent_snapshot()
+        )
+
     def test_collector_is_the_engines(self):
         engine = make_engine(small_market())
         loop = ServingEngine(engine, make_traffic(small_market()))
