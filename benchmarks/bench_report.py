@@ -46,6 +46,8 @@ TRACKED: Tuple[Tuple[str, str, str, float], ...] = (
      ">=", 5.0),
     ("BENCH_budgets", "policies.throttled.revenue_loss", "<=", 0.01),
     ("BENCH_budgets", "policies.naive.revenue_loss", ">=", 0.05),
+    ("BENCH_budgets", "steady_books.identical", "is_true", 0),
+    ("BENCH_budgets", "steady_books.speedup", ">=", 3.0),
     ("BENCH_changefeed", "per_event_seconds", "<=", 1e-4),
     ("BENCH_serving", "gates.exec_cache_work_ratio", "<=", 0.9),
     ("BENCH_serving", "gates.sort_cache_work_ratio", "<=", 0.9),

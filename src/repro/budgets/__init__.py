@@ -5,7 +5,8 @@ advertiser's remaining budget is uncertain whenever ads are outstanding.
 This package implements the paper's principled treatment:
 
 - :mod:`repro.budgets.outstanding` -- outstanding ads, click-probability
-  decay models, and the per-advertiser ledger.
+  decay models, the per-advertiser ledger, and the engine's one
+  outstanding book (deadline-bucket expiry, validation at record time).
 - :mod:`repro.budgets.throttle` -- the throttled bid
   ``b̂_i = E[min(b_i, max(0, β_i - S_l) / m_i)]``: exact computation by
   dynamic programming over currency units (``O(l·β)``) or enumeration
@@ -44,6 +45,7 @@ from repro.budgets.outstanding import (
     GeometricDecay,
     NoDecay,
     OutstandingAd,
+    OutstandingBook,
     OutstandingLedger,
 )
 from repro.budgets.throttle import (
@@ -60,6 +62,7 @@ __all__ = [
     "Interval",
     "NoDecay",
     "OutstandingAd",
+    "OutstandingBook",
     "OutstandingLedger",
     "ThrottleCacheStats",
     "ThrottleProblem",

@@ -7,6 +7,23 @@ reasonable to model it as decreasing with the time since display and
 reaching zero after a limit, which lets old outstanding ads be discarded.
 Three decay models are provided; all satisfy that contract.
 
+Two containers hold outstanding ads.  :class:`OutstandingLedger` is one
+advertiser's ledger of validated :class:`OutstandingAd` values, re-decayed
+on every prune and snapshot: the library class, and the differential
+oracle for the engine's book.  :class:`OutstandingBook` holds every
+advertiser's ads in one book whose per-operation cost is proportional to
+what changed, not to the population:
+
+- prices and CTRs are validated once, when the display is recorded;
+- each ad's *deadline* -- the first round at which its click probability
+  is zero -- is computed once, at display, and the ad is filed in that
+  round's bucket, so expiring a round pops the due buckets and touches
+  only the ads that die (never the live ones, nor the rounds a clock jump
+  skips);
+- under :class:`NoDecay` a live ad's ``ctr_j`` is its base CTR, so the
+  throttle snapshot is the stored ``(π_j, ctr_j)`` pairs, read in ledger
+  order with no decay call and no re-validation.
+
 Money is handled in integer *cents* throughout this package: the paper's
 exact algorithm is ``O(min(2^l, β))`` "assuming that β is written in the
 lowest denomination of currency", and integer arithmetic keeps the DP
@@ -15,10 +32,11 @@ exact.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Protocol, Tuple
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.errors import BudgetError
 
@@ -28,12 +46,36 @@ __all__ = [
     "GeometricDecay",
     "ExponentialDecay",
     "OutstandingAd",
+    "OutstandingBook",
     "OutstandingLedger",
+    "checked_cents",
 ]
 
 
+def checked_cents(value, what: str) -> int:
+    """``value`` as an ``int`` amount of cents, or :class:`BudgetError`.
+
+    Money enters the books at a few entry points (budgets, display
+    prices, click prices); each rejects negative, non-integral and
+    non-finite amounts here rather than letting a NaN or a negative
+    price slip into spend or a throttle problem.
+    """
+    try:
+        cents = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise BudgetError(f"{what} must be whole cents, got {value!r}") from None
+    if cents != value or cents < 0:
+        raise BudgetError(f"{what} must be whole non-negative cents, got {value!r}")
+    return cents
+
+
 class ClickDecayModel(Protocol):
-    """Maps a base click probability and elapsed time to current ``ctr_j``."""
+    """Maps a base click probability and elapsed time to current ``ctr_j``.
+
+    The probability must be non-increasing in the elapsed time (the
+    built-in models are): :class:`OutstandingBook` files each ad under
+    the first round its probability reaches zero.
+    """
 
     def probability(self, base_ctr: float, elapsed_rounds: int) -> float:
         """Current probability the outstanding ad still gets clicked."""
@@ -241,3 +283,271 @@ class OutstandingLedger:
 
     def __len__(self) -> int:
         return len(self._ads)
+
+
+_DUE_ON_ANY_ROUND = -math.inf
+"""Deadline of an ad whose probability is zero already at display: the
+ledger prunes it on any expiry round, even one before the display."""
+
+
+class OutstandingBook:
+    """Every advertiser's outstanding ads in one book.
+
+    Storage is one insertion-ordered ``handle -> (price_cents,
+    base_ctr)`` table per debt-carrying advertiser (an emptied table is
+    dropped) and one ``handle -> displayed_round`` map; handles come
+    from one counter, so they are globally unique and never reused.
+    Each ad is also filed under its :meth:`deadline` in a bucket
+    ``deadline -> [(advertiser, handle)]``, with the bucket deadlines on
+    a min-heap.  Settling removes the ad's entries only; the bucket
+    keeps a stale reference that expiry skips.
+
+    Observably the book is one :class:`OutstandingLedger` per advertiser
+    sharing ``decay``: the same live ads in the same order, the same
+    expiry counts for any round sequence (the clock may jump or run
+    backwards), and the same throttle snapshots.  Exactness rests on the
+    decay model being non-increasing in elapsed time: an ad is then
+    alive at round ``r`` exactly when ``r`` is below its deadline, which
+    is what the bucket heap and the :meth:`constant_debts` shortcut test.
+
+    Args:
+        decay: The click-decay model applied to every ad.
+    """
+
+    def __init__(self, decay: ClickDecayModel | None = None) -> None:
+        self.decay: ClickDecayModel = decay if decay is not None else NoDecay()
+        self._constant = isinstance(self.decay, NoDecay)
+        self._tables: Dict[int, Dict[int, Tuple[int, float]]] = {}
+        self._shown: Dict[int, int] = {}
+        # Per advertiser: the price total of the live ads with a positive
+        # price and CTR (ω_l under NoDecay), and the count of the others,
+        # which are outstanding but never enter a throttle problem.
+        self._liability: Dict[int, int] = {}
+        self._inert: Dict[int, int] = {}
+        self._buckets: Dict[float, List[Tuple[int, int]]] = {}
+        self._deadlines: List[float] = []
+        self._next_handle = 0
+        self._clock: Optional[int] = None
+        self._handles_at_clock = 0
+
+    def deadline(self, base_ctr: float, displayed_round: int) -> float:
+        """The first round at which the ad's click probability is zero.
+
+        :class:`NoDecay` answers in closed form; a decaying model is
+        bisected over elapsed rounds ``[0, horizon]``, where the
+        probability is zero by the model's contract.
+        """
+        decay = self.decay
+        if self._constant:
+            horizon = decay.horizon
+            dead_at = horizon if base_ctr > 0.0 and horizon > 0 else 0
+        elif decay.probability(base_ctr, 0) <= 0.0:
+            dead_at = 0
+        else:
+            alive_at, dead_at = 0, decay.horizon
+            while dead_at - alive_at > 1:
+                middle = (alive_at + dead_at) // 2
+                if decay.probability(base_ctr, middle) <= 0.0:
+                    dead_at = middle
+                else:
+                    alive_at = middle
+        return displayed_round + dead_at if dead_at > 0 else _DUE_ON_ANY_ROUND
+
+    def record(
+        self,
+        advertiser_id: int,
+        price_cents: int,
+        base_ctr: float,
+        round_index: int,
+    ) -> int:
+        """Validate and add a displayed ad; returns its handle.
+
+        Raises:
+            BudgetError: If the price is not whole non-negative cents or
+                the CTR is outside ``[0, 1]`` (NaN included).
+        """
+        price = checked_cents(price_cents, "price")
+        if not 0.0 <= base_ctr <= 1.0:
+            raise BudgetError(f"CTR must be in [0, 1], got {base_ctr}")
+        ctr = float(base_ctr)
+        handle = self._next_handle
+        self._next_handle = handle + 1
+        table = self._tables.get(advertiser_id)
+        if table is None:
+            table = self._tables[advertiser_id] = {}
+        table[handle] = (price, ctr)
+        self._shown[handle] = round_index
+        totals, amount = (
+            (self._liability, price) if price and ctr else (self._inert, 1)
+        )
+        totals[advertiser_id] = totals.get(advertiser_id, 0) + amount
+        due = self.deadline(ctr, round_index)
+        bucket = self._buckets.get(due)
+        if bucket is None:
+            bucket = self._buckets[due] = []
+            heapq.heappush(self._deadlines, due)
+        bucket.append((advertiser_id, handle))
+        return handle
+
+    def _remove(self, advertiser_id: int, table: dict, handle: int) -> None:
+        price, ctr = table.pop(handle)
+        del self._shown[handle]
+        if not table:
+            del self._tables[advertiser_id]
+        totals, amount = (
+            (self._liability, price) if price and ctr else (self._inert, 1)
+        )
+        left = totals.pop(advertiser_id) - amount
+        if left:
+            totals[advertiser_id] = left
+
+    def resolve(self, advertiser_id: int, handle: int) -> bool:
+        """Remove the advertiser's ad with this handle, if still live."""
+        table = self._tables.get(advertiser_id)
+        if table is None or handle not in table:
+            return False
+        self._remove(advertiser_id, table, handle)
+        return True
+
+    def resolve_first(
+        self, advertiser_id: int, price_cents: int, displayed_round: int
+    ) -> bool:
+        """Remove the advertiser's oldest ad with this price and round."""
+        table = self._tables.get(advertiser_id)
+        if table is None:
+            return False
+        for handle, (price, _) in table.items():
+            if price == price_cents and self._shown[handle] == displayed_round:
+                self._remove(advertiser_id, table, handle)
+                return True
+        return False
+
+    def expire(self, round_index: int) -> Dict[int, int]:
+        """Drop every ad due at ``round_index``; per-advertiser counts.
+
+        Pops the buckets whose deadline is at or before the round, so
+        the cost is the number of ads filed there -- live or already
+        settled -- however far the clock moved.
+        """
+        self._clock = round_index
+        self._handles_at_clock = self._next_handle
+        deadlines = self._deadlines
+        tables = self._tables
+        expired: Dict[int, int] = {}
+        while deadlines and deadlines[0] <= round_index:
+            for advertiser_id, handle in self._buckets.pop(
+                heapq.heappop(deadlines)
+            ):
+                table = tables.get(advertiser_id)
+                if table is not None and handle in table:
+                    self._remove(advertiser_id, table, handle)
+                    expired[advertiser_id] = expired.get(advertiser_id, 0) + 1
+        return expired
+
+    def constant_debts(
+        self, advertiser_id: int, round_index: int
+    ) -> Optional[Tuple[Tuple[Tuple[int, float], ...], int]]:
+        """The throttle snapshot and ``ω_l`` without decay calls.
+
+        Under :class:`NoDecay`, before the earliest filed deadline,
+        every live ad's ``ctr_j`` is its base CTR: the snapshot is the
+        stored pairs with a positive price and CTR, in ledger order --
+        already the cleaned ``outstanding`` of a
+        :class:`repro.budgets.throttle.ThrottleProblem`, and usually the
+        table's values verbatim -- and ``ω_l`` is their price total,
+        kept as ads come and go.  ``None`` when the shortcut does not
+        apply (a decaying model, or a round at or past some deadline
+        that has not been expired).
+        """
+        if not self._constant or (
+            self._deadlines and self._deadlines[0] <= round_index
+        ):
+            return None
+        table = self._tables.get(advertiser_id)
+        if table is None:
+            return (), 0
+        if advertiser_id in self._inert:
+            pairs = tuple([pair for pair in table.values() if pair[0] and pair[1]])
+        else:
+            pairs = tuple(table.values())
+        return pairs, self._liability.get(advertiser_id, 0)
+
+    def snapshot(
+        self, advertiser_id: int, round_index: int
+    ) -> List[Tuple[int, float]]:
+        """``(π_j, ctr_j)`` at ``round_index`` for ads with ``ctr_j > 0``.
+
+        The decay model is evaluated per live ad, exactly as
+        :meth:`OutstandingLedger.snapshot` does.
+        """
+        table = self._tables.get(advertiser_id)
+        if table is None:
+            return []
+        probability = self.decay.probability
+        shown = self._shown
+        out: List[Tuple[int, float]] = []
+        for handle, (price, base_ctr) in table.items():
+            ctr = probability(base_ctr, max(0, round_index - shown[handle]))
+            if ctr > 0.0:
+                out.append((price, ctr))
+        return out
+
+    def counts(self) -> Dict[int, int]:
+        """Live ads per debt-carrying advertiser."""
+        return {
+            advertiser_id: len(table)
+            for advertiser_id, table in self._tables.items()
+        }
+
+    def check_invariants(self) -> None:
+        """Raise :class:`BudgetError` if the book's structure is broken.
+
+        Every live ad is filed exactly once, under its own deadline, in
+        a bucket whose deadline is on the heap; the round map and the
+        per-advertiser totals match the tables, and no emptied table lingers; no
+        ad live at the last expiry is at or past its deadline on that
+        clock (ads recorded since then may be: they are due at the next
+        expiry).
+        """
+        problems: List[str] = []
+        if sorted(self._deadlines) != sorted(self._buckets):
+            problems.append("bucket deadlines and heap disagree")
+        filed: Counter = Counter()
+        for due, bucket in self._buckets.items():
+            for advertiser_id, handle in bucket:
+                pair = self._tables.get(advertiser_id, {}).get(handle)
+                if pair is None:
+                    continue
+                filed[advertiser_id, handle] += 1
+                if self.deadline(pair[1], self._shown[handle]) != due:
+                    problems.append(f"ad {handle} filed under the wrong deadline")
+                if (
+                    self._clock is not None
+                    and handle < self._handles_at_clock
+                    and due <= self._clock
+                ):
+                    problems.append(
+                        f"ad {handle} is live past its deadline {due} "
+                        f"on expiry clock {self._clock}"
+                    )
+        liability: Counter = Counter()
+        inert: Counter = Counter()
+        for advertiser_id, table in self._tables.items():
+            if not table:
+                problems.append(f"advertiser {advertiser_id} keeps an empty table")
+            for handle, (price, ctr) in table.items():
+                if price and ctr:
+                    liability[advertiser_id] += price
+                else:
+                    inert[advertiser_id] += 1
+                if filed[advertiser_id, handle] != 1:
+                    problems.append(
+                        f"ad {handle} of advertiser {advertiser_id} is filed "
+                        f"{filed[advertiser_id, handle]} times"
+                    )
+        if liability != Counter(self._liability) or inert != Counter(self._inert):
+            problems.append("liability or inert totals disagree with the tables")
+        if len(self._shown) != sum(map(len, self._tables.values())):
+            problems.append("display rounds disagree with the tables")
+        if problems:
+            raise BudgetError("outstanding book broken: " + "; ".join(problems))

@@ -63,6 +63,52 @@ class ThrottleProblem:
         num_auctions: int,
         outstanding: Sequence[Tuple[int, float]] = (),
     ) -> None:
+        # Scalars first: a bad bid is reported before a bad pair.
+        self._set(bid_cents, budget_cents, num_auctions, (), 0)
+        cleaned: List[Tuple[int, float]] = []
+        for price, ctr in outstanding:
+            if price < 0:
+                raise BudgetError(f"outstanding price must be >= 0, got {price}")
+            if not 0.0 <= ctr <= 1.0:
+                raise BudgetError(f"outstanding CTR must be in [0, 1], got {ctr}")
+            if price > 0 and ctr > 0.0:
+                cleaned.append((int(price), float(ctr)))
+        object.__setattr__(self, "outstanding", tuple(cleaned))
+        object.__setattr__(
+            self, "_max_liability", sum(price for price, _ in cleaned)
+        )
+
+    @classmethod
+    def from_cleaned(
+        cls,
+        bid_cents: int,
+        budget_cents: int,
+        num_auctions: int,
+        outstanding: Tuple[Tuple[int, float], ...],
+        max_liability: int,
+    ) -> "ThrottleProblem":
+        """Build from pairs that are already what ``__init__`` keeps.
+
+        ``outstanding`` must be a tuple of ``(int price > 0, float ctr
+        in (0, 1])`` pairs and ``max_liability`` their price total -- as
+        :meth:`repro.budgets.outstanding.OutstandingBook.constant_debts`
+        returns them, validated once when each ad was recorded and
+        totalled as ads come and go.  The scalars are still checked.
+        """
+        problem = cls.__new__(cls)
+        problem._set(
+            bid_cents, budget_cents, num_auctions, outstanding, max_liability
+        )
+        return problem
+
+    def _set(
+        self,
+        bid_cents: int,
+        budget_cents: int,
+        num_auctions: int,
+        outstanding: Tuple[Tuple[int, float], ...],
+        max_liability: int,
+    ) -> None:
         if bid_cents < 0:
             raise BudgetError(f"bid must be non-negative, got {bid_cents}")
         if budget_cents < 0:
@@ -72,23 +118,16 @@ class ThrottleProblem:
                 f"the advertiser must be in at least one auction, got "
                 f"{num_auctions}"
             )
-        cleaned: List[Tuple[int, float]] = []
-        for price, ctr in outstanding:
-            if price < 0:
-                raise BudgetError(f"outstanding price must be >= 0, got {price}")
-            if not 0.0 <= ctr <= 1.0:
-                raise BudgetError(f"outstanding CTR must be in [0, 1], got {ctr}")
-            if price > 0 and ctr > 0.0:
-                cleaned.append((int(price), float(ctr)))
         object.__setattr__(self, "bid_cents", int(bid_cents))
         object.__setattr__(self, "budget_cents", int(budget_cents))
         object.__setattr__(self, "num_auctions", int(num_auctions))
-        object.__setattr__(self, "outstanding", tuple(cleaned))
+        object.__setattr__(self, "outstanding", outstanding)
+        object.__setattr__(self, "_max_liability", max_liability)
 
     @property
     def max_liability(self) -> int:
         """``ω_l`` -- sum of outstanding prices."""
-        return sum(price for price, _ in self.outstanding)
+        return self._max_liability
 
     @property
     def expected_liability(self) -> float:

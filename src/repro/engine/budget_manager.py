@@ -2,17 +2,31 @@
 
 The budget manager is the engine's source of truth for how much each
 advertiser can still spend.  It tracks settled charges against the daily
-budget and maintains an :class:`repro.budgets.OutstandingLedger` per
-advertiser so the throttled bid ``b̂_i`` can be formed for winner
-determination (Section IV-A).
+budget and keeps every advertiser's outstanding ads in one
+:class:`repro.budgets.OutstandingBook`, so the throttled bid ``b̂_i`` can
+be formed for winner determination (Section IV-A).
+
+Every operation costs what it changes, not the outstanding population:
+money and CTRs are validated once, at the entry points (budgets here,
+prices in :meth:`BudgetManager.record_display` and
+:meth:`BudgetManager.settle_click`); expiry pops the book's deadline
+buckets; and under :class:`repro.budgets.NoDecay` a throttle problem is
+built from the book's stored pairs with no decay call and no
+re-validation.  ``tests/engine/ledger_reference.py`` keeps the
+ledger-per-advertiser manager this replaced as the differential oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.budgets.outstanding import ClickDecayModel, NoDecay, OutstandingLedger
+from repro.budgets.outstanding import (
+    ClickDecayModel,
+    NoDecay,
+    OutstandingBook,
+    checked_cents,
+)
 from repro.budgets.throttle import ThrottleProblem
 from repro.errors import BudgetError
 
@@ -58,15 +72,15 @@ class BudgetManager:
         decay: ClickDecayModel | None = None,
         changefeed=None,
     ) -> None:
-        for advertiser_id, budget in budgets_cents.items():
-            if budget < 0:
-                raise BudgetError(
-                    f"budget for advertiser {advertiser_id} must be >= 0"
-                )
-        self._budgets = dict(budgets_cents)
+        self._budgets = {
+            advertiser_id: checked_cents(
+                budget, f"budget for advertiser {advertiser_id}"
+            )
+            for advertiser_id, budget in budgets_cents.items()
+        }
         self._spent: Dict[int, int] = {}
         self._decay = decay if decay is not None else NoDecay()
-        self._ledgers: Dict[int, OutstandingLedger] = {}
+        self._book = OutstandingBook(self._decay)
         self._feed = changefeed
 
     def _publish_change(self, advertiser_id: int) -> None:
@@ -76,13 +90,6 @@ class BudgetManager:
             from repro.engine.changefeed import BudgetChanged
 
             feed.publish(BudgetChanged(advertiser_id))
-
-    def _ledger(self, advertiser_id: int) -> OutstandingLedger:
-        ledger = self._ledgers.get(advertiser_id)
-        if ledger is None:
-            ledger = OutstandingLedger(decay=self._decay)
-            self._ledgers[advertiser_id] = ledger
-        return ledger
 
     @property
     def decay_varies(self) -> bool:
@@ -123,16 +130,18 @@ class BudgetManager:
         """Register a displayed ad as outstanding debt.
 
         Returns:
-            The ledger handle identifying exactly this outstanding ad.
+            The book handle identifying exactly this outstanding ad.
             Thread it to :meth:`settle_click` when the click arrives:
             the handle is the only unambiguous name when an advertiser
             wins several same-price slots in one round.
+
+        Raises:
+            BudgetError: If the price is not whole non-negative cents or
+                the CTR is outside ``[0, 1]``.
         """
-        ad = self._ledger(advertiser_id).record_display(
-            price_cents, ctr, round_index
-        )
+        handle = self._book.record(advertiser_id, price_cents, ctr, round_index)
         self._publish_change(advertiser_id)
-        return ad.handle
+        return handle
 
     def settle_click(
         self,
@@ -143,31 +152,29 @@ class BudgetManager:
     ) -> ChargeResult:
         """Charge a click, forgiving any shortfall.
 
-        Also clears the clicked ad from the outstanding ledger.  With a
+        Also clears the clicked ad from the outstanding book.  With a
         ``handle`` (from :meth:`record_display`) the resolve is O(1) and
         names exactly the displayed ad that was clicked; an expired
-        handle (the ad aged past the ledger horizon) settles the charge
-        without touching the ledger.  Without a handle -- legacy callers
-        only -- the first outstanding ad matching ``(price_cents,
+        handle (the ad aged past the decay horizon) settles the charge
+        without touching the book.  Without a handle -- legacy callers
+        only -- the oldest outstanding ad matching ``(price_cents,
         display_round)`` is cleared, which picks the *wrong* ad whenever
         the advertiser holds two same-price same-round ads with
-        different CTRs and skews every later b̂ built from this ledger.
+        different CTRs and skews every later b̂ built from the book.
+
+        Raises:
+            BudgetError: If the price is not whole non-negative cents (a
+                negative price would refund spend).
         """
-        ledger = self._ledger(advertiser_id)
+        price_cents = checked_cents(price_cents, "click price")
         if handle is not None:
-            if ledger.has_handle(handle):
-                ledger.resolve_handle(handle)
+            self._book.resolve(advertiser_id, handle)
         else:
-            for ad in ledger.ads:
-                if (
-                    ad.price_cents == price_cents
-                    and ad.displayed_round == display_round
-                ):
-                    ledger.resolve(ad)
-                    break
-        remaining = self.remaining_cents(advertiser_id)
+            self._book.resolve_first(advertiser_id, price_cents, display_round)
+        spent = self._spent.get(advertiser_id, 0)
+        remaining = max(0, self.budget_cents(advertiser_id) - spent)
         charged = min(price_cents, remaining)
-        self._spent[advertiser_id] = self.spent_cents(advertiser_id) + charged
+        self._spent[advertiser_id] = spent + charged
         self._publish_change(advertiser_id)
         return ChargeResult(charged, price_cents - charged)
 
@@ -180,17 +187,14 @@ class BudgetManager:
     ) -> Dict[int, int]:
         """Per-advertiser expiry counts (zero-count advertisers omitted).
 
-        Same pruning as :meth:`expire_outstanding`, but reporting *who*
+        Same expiry as :meth:`expire_outstanding`, but reporting *who*
         lost outstanding ads: an expiry shrinks the advertiser's
         outstanding debt and therefore moves its throttled bid, so the
         engine's dirty-set tracking needs the ids, not just the total.
         """
-        expired: Dict[int, int] = {}
-        for advertiser_id, ledger in self._ledgers.items():
-            pruned = ledger.prune(round_index)
-            if pruned:
-                expired[advertiser_id] = pruned
-                self._publish_change(advertiser_id)
+        expired = self._book.expire(round_index)
+        for advertiser_id in expired:
+            self._publish_change(advertiser_id)
         return expired
 
     def throttle_problem(
@@ -202,21 +206,21 @@ class BudgetManager:
     ) -> ThrottleProblem:
         """Build the Section IV throttle inputs for one advertiser."""
         remaining = self.remaining_cents(advertiser_id)
-        outstanding = self._ledger(advertiser_id).snapshot(round_index)
+        debts = self._book.constant_debts(advertiser_id, round_index)
+        if debts is not None:
+            return ThrottleProblem.from_cleaned(
+                min(bid_cents, remaining), remaining, num_auctions, *debts
+            )
         return ThrottleProblem(
             bid_cents=min(bid_cents, remaining),
             budget_cents=remaining,
             num_auctions=num_auctions,
-            outstanding=outstanding,
+            outstanding=self._book.snapshot(advertiser_id, round_index),
         )
 
     def outstanding_counts(self) -> Dict[int, int]:
         """Outstanding-ad count per advertiser (for reports)."""
-        return {
-            advertiser_id: len(ledger)
-            for advertiser_id, ledger in self._ledgers.items()
-            if len(ledger)
-        }
+        return self._book.counts()
 
     def spent_snapshot(self) -> Dict[int, int]:
         """Settled spend per advertiser (zero-spend advertisers omitted).
@@ -232,3 +236,21 @@ class BudgetManager:
             for advertiser_id, spent in sorted(self._spent.items())
             if spent
         }
+
+    def check_invariants(self) -> None:
+        """Raise :class:`repro.errors.BudgetError` if the books are broken.
+
+        Spend is non-negative and within the budget of every budgeted
+        advertiser, and the outstanding book is sound
+        (:meth:`repro.budgets.OutstandingBook.check_invariants`: every
+        live ad filed once under its deadline, none live past it on the
+        expiry clock, per-advertiser counts equal to the live entries).
+        """
+        problems = [
+            f"advertiser {advertiser_id} spent {spent} cents"
+            for advertiser_id, spent in self._spent.items()
+            if not 0 <= spent <= self.budget_cents(advertiser_id)
+        ]
+        if problems:
+            raise BudgetError("budget books broken: " + "; ".join(problems))
+        self._book.check_invariants()

@@ -862,18 +862,18 @@ class SharedAuctionEngine:
         elif self.throttle:
             capped = np.minimum(bid_sub, remaining_sub)
             effective_sub = np.minimum(m * capped, remaining_sub) / m
+            # Debtors overwrite their closed-form value in row space.
+            self._eff_by_row[rows] = effective_sub
             fallbacks = 0
+            row_of = store.row_of
             for advertiser_id in sorted(self.budget_manager.outstanding_counts()):
-                position = int(np.searchsorted(ids_sub, advertiser_id))
-                if (
-                    position == len(ids_sub)
-                    or int(ids_sub[position]) != advertiser_id
-                ):
+                row = row_of(advertiser_id)
+                if not counts[row]:
                     continue  # carries debt but occurs in no phrase
                 problem = self.budget_manager.throttle_problem(
                     advertiser_id,
-                    int(bid_sub[position]),
-                    int(m[position]),
+                    int(store.bid_cents[row]),
+                    int(counts[row]),
                     round_index,
                 )
                 if (
@@ -882,12 +882,14 @@ class SharedAuctionEngine:
                     and not problem.trivially_unthrottled()
                 ):
                     collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
-                effective_sub[position] = exact_throttled_bid(problem)
+                self._eff_by_row[row] = exact_throttled_bid(problem)
                 fallbacks += 1
-            if collector.enabled and fallbacks:
-                collector.incr(
-                    metric_names.COLUMNAR_THROTTLE_FALLBACKS, fallbacks
-                )
+            if fallbacks:
+                effective_sub = self._eff_by_row[rows]
+                if collector.enabled:
+                    collector.incr(
+                        metric_names.COLUMNAR_THROTTLE_FALLBACKS, fallbacks
+                    )
         else:
             effective_sub = np.minimum(bid_sub, remaining_sub).astype(
                 np.float64
@@ -1080,6 +1082,13 @@ class SharedAuctionEngine:
         """Stage 4: allocate slots, price clicks (GSP), record displays."""
         entries = ranking.entries
         allocated: List[Tuple[int, int, int]] = []
+        # Columnar scoring left every occurring effective bid in row
+        # space; reading it by row skips the map's per-id binary search.
+        row_of = (
+            self._store.row_of
+            if isinstance(effective_bid_cents, ArrayScoreMap)
+            else None
+        )
         for slot in range(min(self.k, len(entries))):
             entry = entries[slot]
             advertiser = self._by_id[entry.advertiser_id]
@@ -1095,10 +1104,11 @@ class SharedAuctionEngine:
             )
             if c_i <= 0.0:
                 continue
-            price_cents = min(
-                effective_bid_cents[entry.advertiser_id],
-                next_score / c_i * 100.0,
-            )
+            if row_of is not None:
+                effective = float(self._eff_by_row[row_of(entry.advertiser_id)])
+            else:
+                effective = effective_bid_cents[entry.advertiser_id]
+            price_cents = min(effective, next_score / c_i * 100.0)
             price = int(round(price_cents))
             if price <= 0:
                 continue

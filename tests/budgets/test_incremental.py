@@ -166,10 +166,10 @@ class TestVerifyMode:
         manager, cache, _ = make_cache({1: 300}, verify=True)
         manager.record_display(1, 90, 0.7, 0)
         cache.exact_bid(1, 120, 3, 0)
-        # Mutate the ledger behind the feed's back: the entry still
+        # Mutate the book behind the feed's back: the entry still
         # looks clean, so the next access takes the reuse path and the
         # verify cross-check must blow up.
-        manager._ledger(1).record_display(80, 0.4, 0)
+        manager._book.record(1, 80, 0.4, 0)
         with pytest.raises(BudgetError, match="unsound change feed"):
             cache.exact_bid(1, 120, 3, 0)
 

@@ -78,6 +78,21 @@ class TestEvaluateTracked:
         )
         assert rows["BENCH_columnar:shared_round.outcomes_identical"] == "ok"
 
+    def test_steady_books_below_speedup_floor_is_regressed(self):
+        benchmarks = self._benchmarks(
+            BENCH_budgets={
+                "steady_books": {"identical": True, "speedup": 2.0},
+            }
+        )
+        rows = {
+            metric: status
+            for metric, _, _, status in bench_report.evaluate_tracked(
+                benchmarks
+            )
+        }
+        assert rows["BENCH_budgets:steady_books.speedup"] == "REGRESSED"
+        assert rows["BENCH_budgets:steady_books.identical"] == "ok"
+
     def test_missing_file_is_flagged(self):
         rows = bench_report.evaluate_tracked({})
         assert rows and all(status == "MISSING" for *_, status in rows)
@@ -155,7 +170,8 @@ class TestMain:
                 "policies": {
                     "throttled": {"revenue_loss": 0.0},
                     "naive": {"revenue_loss": 0.3},
-                }
+                },
+                "steady_books": {"identical": True, "speedup": 4.0},
             },
         )
         self._write(
@@ -196,7 +212,7 @@ class TestMain:
     def test_healthy_root_passes_check(self, tmp_path, capsys):
         root = self._healthy_root(tmp_path)
         assert bench_report.main(["--root", str(root), "--check"]) == 0
-        assert "19/19 tracked ok" in capsys.readouterr().out
+        assert "21/21 tracked ok" in capsys.readouterr().out
         assert (root / "bench_tables.txt").exists()
 
     def test_output_is_byte_stable(self, tmp_path):

@@ -16,7 +16,8 @@ cross-round cache off and on (``verify=True``, so any event-uncovered
 staleness raises instead of silently diverging), and under the
 columnar layout with its native caches (the per-query drain feeds the
 row-granular dirty masks, so serving is where the vectorized kernels
-and the incremental caches genuinely compose).
+and the incremental caches genuinely compose).  Both sides check the
+budget books' invariants after every query.
 """
 
 from __future__ import annotations
@@ -128,6 +129,7 @@ def serve_trace(market, arrivals, seed: int, **kwargs):
             )
         )
         trajectory.append(engine.budget_manager.spent_snapshot())
+        engine.budget_manager.check_invariants()
     flush = engine.settle_remaining_clicks()
     return outcomes, trajectory, flush, engine.budget_manager.spent_snapshot()
 
@@ -155,6 +157,7 @@ def replay_trace(market, arrivals, seed: int, **kwargs):
             )
         )
         trajectory.append(engine.budget_manager.spent_snapshot())
+        engine.budget_manager.check_invariants()
     flush = engine.settle_remaining_clicks()
     return outcomes, trajectory, flush, engine.budget_manager.spent_snapshot()
 
