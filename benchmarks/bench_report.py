@@ -60,6 +60,8 @@ TRACKED: Tuple[Tuple[str, str, str, float], ...] = (
     ("BENCH_columnar", "sharded.single_shard_identical", "is_true", 0),
     ("BENCH_columnar", "shared_round.outcomes_identical", "is_true", 0),
     ("BENCH_columnar", "shared_round.shared_over_unshared", "<=", 1.5),
+    ("BENCH_columnar", "allocation.identical", "is_true", 0),
+    ("BENCH_columnar", "allocation.speedup", ">=", 3.0),
 )
 
 

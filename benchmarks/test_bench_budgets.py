@@ -296,7 +296,7 @@ def replay(manager, calls, handles):
             kwargs = dict(kwargs, handle=handles.get(kwargs["handle"], -1))
         result = getattr(manager, name)(*args, **kwargs)
         if name == "record_display":
-            handles[recorded] = result
+            handles.update(zip(recorded, result))
             result = None
         results.append(result)
     return results

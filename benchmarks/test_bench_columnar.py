@@ -33,12 +33,22 @@ as one segmented array merge -- costs at most 1.5x a columnar
 ``mode="unshared"`` round on the same market and the same occurring
 phrases, with identical outcomes (``test_columnar_shared_round_gate``).
 
+A sixth claim (E24) is about what happens after the ranking: slot
+allocation and GSP pricing of a whole round as one array pass
+(:func:`repro.engine.allocation.gsp_allocate`) over the round's ranked
+table.  40 steady-state rounds of the unbudgeted scaled market are
+recorded after 18 warm-up rounds and replayed through the array pass
+and through the per-slot loop it replaced
+(``tests/engine/allocation_reference.py``), alternately timed; the
+outputs must be identical and the array pass at least 3x faster
+(``test_allocation_gate``).
+
 Results land in ``BENCH_columnar.json`` at the repo root; the tracked
 entries (``kernels.speedup``, ``kernels.outcomes_identical``,
 ``sharded.single_shard_identical``, ``matching.kernel_speedup``,
 ``matching.outcomes_identical``, ``shared_round.outcomes_identical``,
-``shared_round.shared_over_unshared``) feed ``bench_report.py
---check``.  Every test merges its section into the JSON instead of
+``shared_round.shared_over_unshared``, ``allocation.identical``,
+``allocation.speedup``) feed ``bench_report.py --check``.  Every test merges its section into the JSON instead of
 overwriting it, so each can be re-run alone.
 """
 
@@ -48,12 +58,13 @@ import json
 import os
 import random
 import statistics
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 from repro.core.advertiser import Advertiser
 from repro.core.auction import AuctionSpec
@@ -68,7 +79,10 @@ from repro.engine.sharded import ShardedEngine
 from repro.metrics.tables import ExperimentTable
 from repro.workloads.fig4 import fig4_market
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_columnar.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+BENCH_JSON = REPO_ROOT / "BENCH_columnar.json"
+if str(REPO_ROOT) not in sys.path:  # the E24 oracle lives in the test tree
+    sys.path.insert(0, str(REPO_ROOT))
 KERNEL_SPEEDUP_FLOOR = 3.0
 MATCHING_SPEEDUP_FLOOR = 3.0
 SHARDED_SPEEDUP_FLOOR = 1.8
@@ -78,6 +92,10 @@ SHARED_TIMED_ROUNDS = 15
 EQUALITY_SEEDS = 50
 MATCHING_EQUALITY_SEEDS = 50
 SLOTS = [0.3, 0.2, 0.1]
+ALLOCATION_WARMUP_ROUNDS = 18  # one past the engine's 16-round click horizon
+ALLOCATION_ROUNDS = 40
+ALLOCATION_REPEATS = 5
+ALLOCATION_SPEEDUP_FLOOR = 3.0
 
 
 def _merge_bench_json(update: dict) -> None:
@@ -158,13 +176,9 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     columnar_seconds, columnar_rankings = _time_kernel(
         columnar_engine, occurring
     )
-    assert {
-        phrase: ranking.entries
-        for phrase, ranking in object_rankings.items()
-    } == {
-        phrase: ranking.entries
-        for phrase, ranking in columnar_rankings.items()
-    }, "kernel rankings diverged between layouts"
+    assert object_rankings.rankings() == columnar_rankings.rankings(), (
+        "kernel rankings diverged between layouts"
+    )
     speedup = object_seconds / columnar_seconds
     record["kernels"] = {
         "round_phrases": len(occurring),
@@ -476,3 +490,126 @@ def test_columnar_shared_round_gate(benchmark):
 
     shared = engines["shared"]
     benchmark(lambda: shared.run_round(occurring()))
+
+
+def _record_ranked_tables(advertisers, rates):
+    """The ranked tables and slot-holder inputs of steady-state rounds.
+
+    Runs a columnar shared engine for the warm-up rounds, then records,
+    for each of the next rounds, the ranked table its allocation stage
+    received and a copy of the round's effective bids by row.
+    """
+    engine = _engine(advertisers, rates, "columnar", mode="shared", seed=7)
+    engine.run(ALLOCATION_WARMUP_ROUNDS)
+    recorded = []
+    allocate = engine._allocate
+
+    def recording(phrases, table, effective_bid_cents, round_index, report):
+        recorded.append((table, engine._eff_by_row.copy()))
+        allocate(phrases, table, effective_bid_cents, round_index, report)
+
+    engine._allocate = recording
+    for _ in range(ALLOCATION_ROUNDS):
+        engine.run_round()
+    return engine, recorded
+
+
+@pytest.mark.experiment("E24")
+def test_allocation_gate(benchmark):
+    """Array-pass allocation and GSP pricing: identical, >= 3x the loop."""
+    from repro.engine.allocation import gsp_allocate
+    from tests.engine.allocation_reference import reference_allocate
+
+    advertisers, rates = fig4_market(seed=0, median_budget_cents=0, **SCALED)
+    engine, recorded = _record_ranked_tables(advertisers, rates)
+    store = engine._store
+    by_id = {a.advertiser_id: a for a in advertisers}
+    slot_factors = np.array(SLOTS, dtype=np.float64)
+    # The per-slot loop read its inputs the way the engine used to: the
+    # ranking as TopKList objects, c_i from the advertiser object and
+    # b̂_i from the row-space scratch through the store's id -> row map.
+    replays = [
+        (table, table.rankings(), effective) for table, effective in recorded
+    ]
+
+    def vectorized():
+        out = []
+        for table, _, effective in replays:
+            def inputs(owner, ids, effective=effective):
+                rows = np.searchsorted(store.ids, ids)
+                return store.ctr_factors[rows], effective[rows]
+
+            out.append(gsp_allocate(table, slot_factors, inputs))
+        return out
+
+    def as_tuples(rounds):
+        return [
+            list(
+                zip(
+                    displays.owner.tolist(), displays.slot.tolist(),
+                    displays.ids.tolist(), displays.prices.tolist(),
+                    displays.ctrs.tolist(),
+                )
+            )
+            for displays in rounds
+        ]
+
+    def per_slot():
+        out = []
+        for _, rankings, effective in replays:
+            out.append(
+                reference_allocate(
+                    rankings,
+                    SLOTS,
+                    lambda _auction, i: by_id[i].ctr_factor,
+                    lambda i, effective=effective: float(
+                        effective[store.row_of(i)]
+                    ),
+                )
+            )
+        return out
+
+    identical = as_tuples(vectorized()) == per_slot()
+    array_times, loop_times = [], []
+    for _ in range(ALLOCATION_REPEATS):
+        for fn, times in ((vectorized, array_times), (per_slot, loop_times)):
+            started = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - started)
+    array_ms = statistics.median(array_times) / ALLOCATION_ROUNDS * 1e3
+    loop_ms = statistics.median(loop_times) / ALLOCATION_ROUNDS * 1e3
+    speedup = loop_ms / array_ms
+    displays = sum(len(round_.ids) for round_ in vectorized())
+    auctions = sum(len(table) for table, _ in recorded)
+    _merge_bench_json(
+        {
+            "allocation": {
+                "advertisers": len(advertisers),
+                "phrases": len(rates),
+                "budgets": "unlimited",
+                "warmup_rounds": ALLOCATION_WARMUP_ROUNDS,
+                "rounds": ALLOCATION_ROUNDS,
+                "auctions_per_round": round(auctions / ALLOCATION_ROUNDS, 1),
+                "displays_per_round": round(displays / ALLOCATION_ROUNDS, 1),
+                "array_ms_per_round": round(array_ms, 3),
+                "loop_ms_per_round": round(loop_ms, 3),
+                "identical": identical,
+                "speedup": round(speedup, 2),
+            }
+        }
+    )
+    table = ExperimentTable(
+        f"E24: allocation and GSP pricing, {ALLOCATION_ROUNDS} steady rounds "
+        f"({len(advertisers)} advertisers, {len(rates)} phrases)",
+        ["pass", "ms/round", "identical"],
+    )
+    table.add("per-slot loop (oracle)", round(loop_ms, 3), True)
+    table.add("one array pass", round(array_ms, 3), identical)
+    table.add("speedup", round(speedup, 2), "")
+    table.show()
+    assert identical, "array-pass allocation diverged from the per-slot loop"
+    assert speedup >= ALLOCATION_SPEEDUP_FLOOR, (
+        f"array-pass allocation only {speedup:.2f}x faster than the loop "
+        f"(floor {ALLOCATION_SPEEDUP_FLOOR}x)"
+    )
+    benchmark(vectorized)

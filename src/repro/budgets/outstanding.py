@@ -14,7 +14,10 @@ oracle for the engine's book.  :class:`OutstandingBook` holds every
 advertiser's ads in one book whose per-operation cost is proportional to
 what changed, not to the population:
 
-- prices and CTRs are validated once, when the display is recorded;
+- prices and CTRs are validated once, when the display is recorded --
+  a whole round's displays at a time (:func:`checked_displays`), and a
+  round's ads land in the book in one call
+  (:meth:`OutstandingBook.record_batch`);
 - each ad's *deadline* -- the first round at which its click probability
   is zero -- is computed once, at display, and the ad is filed in that
   round's bucket, so expiring a round pops the due buckets and touches
@@ -36,9 +39,14 @@ import heapq
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.errors import BudgetError
+
+try:  # pragma: no cover - numpy ships with the package
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None  # type: ignore[assignment]
 
 __all__ = [
     "ClickDecayModel",
@@ -49,6 +57,7 @@ __all__ = [
     "OutstandingBook",
     "OutstandingLedger",
     "checked_cents",
+    "checked_displays",
 ]
 
 
@@ -67,6 +76,50 @@ def checked_cents(value, what: str) -> int:
     if cents != value or cents < 0:
         raise BudgetError(f"{what} must be whole non-negative cents, got {value!r}")
     return cents
+
+
+def checked_displays(
+    advertiser_ids: Sequence[int],
+    prices_cents: Sequence[int],
+    ctrs: Sequence[float],
+) -> Tuple[List[int], List[int], List[float]]:
+    """Validate a batch of displays; returns it as three Python lists.
+
+    The arrays must be parallel and one-dimensional, every price whole
+    non-negative cents (:func:`checked_cents`) and every CTR in ``[0,
+    1]`` (NaN rejected).  Integer price arrays and float CTR arrays are
+    checked with one vectorized comparison each; anything else goes
+    through :func:`checked_cents` element by element.  The returned
+    prices are ``int`` and the CTRs ``float``, exactly what the
+    one-display path stores.
+
+    Raises:
+        BudgetError: On the first offending entry; nothing is returned.
+    """
+    ids = np.asarray(advertiser_ids)
+    prices = np.asarray(prices_cents)
+    try:
+        rates = np.asarray(ctrs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise BudgetError(f"CTRs must be numbers, got {ctrs!r}") from None
+    if not (
+        ids.ndim == prices.ndim == rates.ndim == 1
+        and len(ids) == len(prices) == len(rates)
+    ):
+        raise BudgetError(
+            "a display batch is three parallel one-dimensional arrays "
+            "(advertisers, prices, CTRs)"
+        )
+    if prices.dtype.kind in "iu" and (not len(prices) or prices.min() >= 0):
+        price_list = prices.tolist()
+    else:
+        price_list = [checked_cents(price, "price") for price in prices.tolist()]
+    rate_list = rates.tolist()
+    # NaN fails both comparisons, so it never passes as in range.
+    if len(rates) and not (rates.min() >= 0.0 and rates.max() <= 1.0):
+        bad = next(rate for rate in rate_list if not 0.0 <= rate <= 1.0)
+        raise BudgetError(f"CTR must be in [0, 1], got {bad}")
+    return ids.tolist(), price_list, rate_list
 
 
 class ClickDecayModel(Protocol):
@@ -360,7 +413,7 @@ class OutstandingBook:
         base_ctr: float,
         round_index: int,
     ) -> int:
-        """Validate and add a displayed ad; returns its handle.
+        """Validate and add one displayed ad; returns its handle.
 
         Raises:
             BudgetError: If the price is not whole non-negative cents or
@@ -369,25 +422,65 @@ class OutstandingBook:
         price = checked_cents(price_cents, "price")
         if not 0.0 <= base_ctr <= 1.0:
             raise BudgetError(f"CTR must be in [0, 1], got {base_ctr}")
-        ctr = float(base_ctr)
-        handle = self._next_handle
-        self._next_handle = handle + 1
-        table = self._tables.get(advertiser_id)
-        if table is None:
-            table = self._tables[advertiser_id] = {}
-        table[handle] = (price, ctr)
-        self._shown[handle] = round_index
-        totals, amount = (
-            (self._liability, price) if price and ctr else (self._inert, 1)
-        )
-        totals[advertiser_id] = totals.get(advertiser_id, 0) + amount
-        due = self.deadline(ctr, round_index)
+        return self.record_batch(
+            [advertiser_id], [price], [float(base_ctr)], round_index
+        )[0]
+
+    def record_batch(
+        self,
+        advertiser_ids: Sequence[int],
+        prices_cents: Sequence[int],
+        base_ctrs: Sequence[float],
+        round_index: int,
+    ) -> range:
+        """Add a round's displayed ads, already validated; their handles.
+
+        The inputs are what :func:`checked_displays` returns: ``int``
+        prices, ``float`` CTRs in ``[0, 1]``.  Ads are added in order
+        and take consecutive handles.  Under :class:`NoDecay` every ad
+        with a positive CTR shares one deadline, so the batch is filed
+        in one bucket with one extend.
+        """
+        first = self._next_handle
+        handles = range(first, first + len(advertiser_ids))
+        if not handles:
+            return handles
+        self._next_handle = handles.stop
+        tables = self._tables
+        liability = self._liability
+        inert = self._inert
+        for advertiser_id, handle, price, ctr in zip(
+            advertiser_ids, handles, prices_cents, base_ctrs
+        ):
+            table = tables.get(advertiser_id)
+            if table is None:
+                table = tables[advertiser_id] = {}
+            table[handle] = (price, ctr)
+            if price and ctr:
+                liability[advertiser_id] = liability.get(advertiser_id, 0) + price
+            else:
+                inert[advertiser_id] = inert.get(advertiser_id, 0) + 1
+        self._shown.update(dict.fromkeys(handles, round_index))
+        if self._constant and all(base_ctrs):
+            self._file(
+                self.deadline(1.0, round_index), zip(advertiser_ids, handles)
+            )
+        else:
+            for advertiser_id, handle, ctr in zip(
+                advertiser_ids, handles, base_ctrs
+            ):
+                self._file(
+                    self.deadline(ctr, round_index), ((advertiser_id, handle),)
+                )
+        return handles
+
+    def _file(self, due: float, entries) -> None:
+        """File ``(advertiser, handle)`` entries under deadline ``due``."""
         bucket = self._buckets.get(due)
         if bucket is None:
             bucket = self._buckets[due] = []
             heapq.heappush(self._deadlines, due)
-        bucket.append((advertiser_id, handle))
-        return handle
+        bucket.extend(entries)
 
     def _remove(self, advertiser_id: int, table: dict, handle: int) -> None:
         price, ctr = table.pop(handle)

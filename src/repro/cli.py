@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -31,6 +32,29 @@ def _positive_int(value: str) -> int:
     if number <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {number}")
     return number
+
+
+def _finite_float(value: str, minimum: float, inclusive: bool) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not math.isfinite(number) or number < minimum or (
+        number == minimum and not inclusive
+    ):
+        bound = ">=" if inclusive else ">"
+        raise argparse.ArgumentTypeError(
+            f"must be finite and {bound} {minimum:g}, got {value}"
+        )
+    return number
+
+
+def _finite_positive_float(value: str) -> float:
+    return _finite_float(value, 0.0, inclusive=False)
+
+
+def _finite_non_negative_float(value: str) -> float:
+    return _finite_float(value, 0.0, inclusive=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--arrival-rate",
-        type=float,
+        type=_finite_positive_float,
         default=200.0,
         help="traffic arrival rate in queries/second (--serve mode)",
     )
     engine.add_argument(
         "--zipf-exponent",
-        type=float,
+        type=_finite_non_negative_float,
         default=1.0,
         help=(
             "Zipf popularity skew across phrases, ranked by search "

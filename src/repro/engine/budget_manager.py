@@ -8,27 +8,38 @@ be formed for winner determination (Section IV-A).
 
 Every operation costs what it changes, not the outstanding population:
 money and CTRs are validated once, at the entry points (budgets here,
-prices in :meth:`BudgetManager.record_display` and
+prices in :meth:`BudgetManager.record_display` -- a whole round's
+displays per call, validated before anything is recorded -- and
 :meth:`BudgetManager.settle_click`); expiry pops the book's deadline
-buckets; and under :class:`repro.budgets.NoDecay` a throttle problem is
+buckets; under :class:`repro.budgets.NoDecay` a throttle problem is
 built from the book's stored pairs with no decay call and no
-re-validation.  ``tests/engine/ledger_reference.py`` keeps the
+re-validation; and settled spend is mirrored into an optional row-space
+column (:attr:`BudgetManager.spent_by_row`) so array code reads
+remaining budgets by row instead of copying the books.  Money
+conservation -- spend plus forgiven equals the clicked value -- is kept
+as running totals and checked by :meth:`BudgetManager.check_invariants`.  ``tests/engine/ledger_reference.py`` keeps the
 ledger-per-advertiser manager this replaced as the differential oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.budgets.outstanding import (
     ClickDecayModel,
     NoDecay,
     OutstandingBook,
     checked_cents,
+    checked_displays,
 )
 from repro.budgets.throttle import ThrottleProblem
 from repro.errors import BudgetError
+
+try:  # pragma: no cover - numpy ships with the package
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None  # type: ignore[assignment]
 
 __all__ = ["BudgetManager", "ChargeResult"]
 
@@ -61,6 +72,14 @@ class BudgetManager:
             outstanding debt, and outstanding-ad expiries -- so the
             cross-round caches learn about throttle-input changes from
             the source instead of from engine-side bookkeeping.
+        spend_rows: Optional advertiser ids whose settled spend is also
+            kept in :attr:`spent_by_row`, an int64 column with one row
+            per id in this order, so array code reads remaining budgets
+            by row with no whole-population copy of the books.
+
+    Attributes:
+        spent_by_row: The spend column (``None`` without
+            ``spend_rows``), updated on every settlement.
     """
 
     UNBUDGETED_CENTS = 10**12
@@ -71,6 +90,7 @@ class BudgetManager:
         budgets_cents: Dict[int, int],
         decay: ClickDecayModel | None = None,
         changefeed=None,
+        spend_rows: Optional[Sequence[int]] = None,
     ) -> None:
         self._budgets = {
             advertiser_id: checked_cents(
@@ -79,9 +99,19 @@ class BudgetManager:
             for advertiser_id, budget in budgets_cents.items()
         }
         self._spent: Dict[int, int] = {}
+        # Money conservation: every settled click's value is either
+        # charged (spend) or forgiven.
+        self._clicked_cents = 0
+        self._forgiven_cents = 0
         self._decay = decay if decay is not None else NoDecay()
         self._book = OutstandingBook(self._decay)
         self._feed = changefeed
+        self._spend_row: Dict[int, int] = {}
+        self.spent_by_row = None
+        if spend_rows is not None:
+            ids = np.asarray(spend_rows).tolist()
+            self._spend_row = dict(zip(ids, range(len(ids))))
+            self.spent_by_row = np.zeros(len(self._spend_row), dtype=np.int64)
 
     def _publish_change(self, advertiser_id: int) -> None:
         """Announce a book movement on the change feed, if anyone cares."""
@@ -122,26 +152,40 @@ class BudgetManager:
 
     def record_display(
         self,
-        advertiser_id: int,
-        price_cents: int,
-        ctr: float,
+        advertiser_ids: Sequence[int],
+        prices_cents: Sequence[int],
+        ctrs: Sequence[float],
         round_index: int,
-    ) -> int:
-        """Register a displayed ad as outstanding debt.
+    ) -> range:
+        """Register a round's displayed ads as outstanding debt.
+
+        Args:
+            advertiser_ids: Who was shown, one entry per displayed ad.
+            prices_cents: Parallel price per click, whole cents.
+            ctrs: Parallel click probabilities.
+            round_index: The round every ad was shown in.
 
         Returns:
-            The book handle identifying exactly this outstanding ad.
-            Thread it to :meth:`settle_click` when the click arrives:
+            The book handles of the ads, in order: a contiguous range.
+            Thread each to :meth:`settle_click` when its click arrives:
             the handle is the only unambiguous name when an advertiser
             wins several same-price slots in one round.
 
         Raises:
-            BudgetError: If the price is not whole non-negative cents or
-                the CTR is outside ``[0, 1]``.
+            BudgetError: If the arrays are not parallel, or any price is
+                not whole non-negative cents or any CTR is outside
+                ``[0, 1]``.  The whole batch is validated first, so a
+                rejected batch leaves no trace in the books or the feed.
         """
-        handle = self._book.record(advertiser_id, price_cents, ctr, round_index)
-        self._publish_change(advertiser_id)
-        return handle
+        ids, prices, rates = checked_displays(advertiser_ids, prices_cents, ctrs)
+        handles = self._book.record_batch(ids, prices, rates, round_index)
+        feed = self._feed
+        if feed is not None and feed.active:
+            from repro.engine.changefeed import BudgetChanged
+
+            for advertiser_id in ids:
+                feed.publish(BudgetChanged(advertiser_id))
+        return handles
 
     def settle_click(
         self,
@@ -175,6 +219,11 @@ class BudgetManager:
         remaining = max(0, self.budget_cents(advertiser_id) - spent)
         charged = min(price_cents, remaining)
         self._spent[advertiser_id] = spent + charged
+        row = self._spend_row.get(advertiser_id)
+        if row is not None:
+            self.spent_by_row[row] = spent + charged
+        self._clicked_cents += price_cents
+        self._forgiven_cents += price_cents - charged
         self._publish_change(advertiser_id)
         return ChargeResult(charged, price_cents - charged)
 
@@ -241,7 +290,9 @@ class BudgetManager:
         """Raise :class:`repro.errors.BudgetError` if the books are broken.
 
         Spend is non-negative and within the budget of every budgeted
-        advertiser, and the outstanding book is sound
+        advertiser; money is conserved (total spend plus total forgiven
+        equals the total value of the settled clicks); the spend column
+        equals the books row for row; and the outstanding book is sound
         (:meth:`repro.budgets.OutstandingBook.check_invariants`: every
         live ad filed once under its deadline, none live past it on the
         expiry clock, per-advertiser counts equal to the live entries).
@@ -251,6 +302,24 @@ class BudgetManager:
             for advertiser_id, spent in self._spent.items()
             if not 0 <= spent <= self.budget_cents(advertiser_id)
         ]
+        spent_total = sum(self._spent.values())
+        if spent_total + self._forgiven_cents != self._clicked_cents:
+            problems.append(
+                f"money not conserved: spent {spent_total} + forgiven "
+                f"{self._forgiven_cents} != clicked {self._clicked_cents} "
+                "cents"
+            )
+        if self.spent_by_row is not None:
+            column = self.spent_by_row.tolist()
+            moved = [
+                advertiser_id
+                for advertiser_id, row in self._spend_row.items()
+                if column[row] != self._spent.get(advertiser_id, 0)
+            ]
+            if moved:
+                problems.append(
+                    f"spend column disagrees with the books for {moved[:5]}"
+                )
         if problems:
             raise BudgetError("budget books broken: " + "; ".join(problems))
         self._book.check_invariants()

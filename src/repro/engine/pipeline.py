@@ -12,12 +12,26 @@ settled against budgets.
 
 The engine asks the plan for *k + 1* entries so generalized second
 pricing can see the runner-up score without a second pass.
+
+Everything after the ranking runs in array space, for every layout and
+mode: the ranking stage returns the round's answers as one
+:class:`repro.core.ranked.RankedTable` (the columnar shared executor
+produces it directly; other rankers' :class:`TopKList` objects are
+packed into one), a single allocation stage prices and allocates every
+slot of every phrase in one pass
+(:func:`repro.engine.allocation.gsp_allocate`), and the round's displays
+reach the budget manager and the click model in one call each, in
+display order.  Under the columnar layout, auction multiplicities come
+from one ``np.bincount`` over a phrase -> rows index built at
+construction, and remaining budgets from the budget manager's row-space
+spend column.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.budgets.incremental import IncrementalThrottleCache
@@ -32,7 +46,9 @@ from repro.core.columnar import (
 )
 from repro.core.ctr import SeparableCTRModel
 from repro.core.money import dollars_to_cents
+from repro.core.ranked import RankedTable, expand_runs
 from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
+from repro.engine.allocation import gsp_allocate
 from repro.engine.autotune import CacheAutotuner
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import BidChanged, ChangeFeed, RoundClosed
@@ -353,17 +369,19 @@ class SharedAuctionEngine:
             slot_factors,
         )
         self.k = len(tuple(slot_factors))
+        self._slot_factors = np.array(
+            self.ctr_model.slot_factors, dtype=np.float64
+        )
         phrase_map: Dict[str, List[int]] = {}
         for advertiser in self.advertisers:
-            # Iterate phrases sorted: frozenset order depends on string
-            # hashing, and letting it leak into dict build order would
-            # make plan tie-breaking (hence work counters) vary with
-            # PYTHONHASHSEED.  Outcomes were never affected; the plan
-            # *shape* was.
-            for phrase in sorted(advertiser.phrases):
+            for phrase in advertiser.phrases:
                 phrase_map.setdefault(phrase, []).append(
                     advertiser.advertiser_id
                 )
+        # Sorted phrases, sorted ids: frozenset order depends on string
+        # hashing, and letting it leak into this dict's order would make
+        # plan tie-breaking (hence work counters) vary with
+        # PYTHONHASHSEED.
         self.phrase_advertisers: Dict[str, Tuple[int, ...]] = {
             phrase: tuple(sorted(ids))
             for phrase, ids in sorted(phrase_map.items())
@@ -396,8 +414,15 @@ class SharedAuctionEngine:
         # it.  With no subscriber, `changefeed.active` is False and every
         # publish site is skipped, so uncached runs pay nothing.
         self.changefeed = ChangeFeed(self.collector)
+        self._store: Optional[ColumnarStore] = None
+        if layout == "columnar":
+            self._store = ColumnarStore.from_advertisers(self.advertisers)
         self.budget_manager = BudgetManager(
-            budgets, decay_model, changefeed=self.changefeed
+            budgets,
+            decay_model,
+            changefeed=self.changefeed,
+            # Columnar scoring reads remaining budgets by row.
+            spend_rows=self._store.ids if self._store is not None else None,
         )
         self.autotuner = (
             CacheAutotuner(collector=self.collector) if cache_autotune else None
@@ -431,9 +456,7 @@ class SharedAuctionEngine:
         self._sort_cache = None
         self._columnar_exec = None
         self._columnar_sort = None
-        self._store: Optional[ColumnarStore] = None
-        if layout == "columnar":
-            self._store = ColumnarStore.from_advertisers(self.advertisers)
+        if self._store is not None:
             # Full-length scratch: the scoring stage scatters the round's
             # effective bids / scores into row space so every downstream
             # kernel indexes by row with no per-id lookups.  Rows outside
@@ -445,6 +468,45 @@ class SharedAuctionEngine:
             # semantics for the multiplicity change feed.
             self._last_m_row = np.full(self._store.size, -1, dtype=np.int64)
             self._occurring_rows = None
+            # Phrase -> member rows as one CSR: phrase number ``p`` owns
+            # ``_member_rows[_phrase_start[p]:][:_phrase_size[p]]``, so a
+            # round's auction multiplicities are one bincount.
+            self._phrase_number = {
+                phrase: number
+                for number, phrase in enumerate(self.phrase_advertisers)
+            }
+            members = list(self.phrase_advertisers.values())
+            self._phrase_size = np.fromiter(
+                map(len, members), dtype=np.int64, count=len(members)
+            )
+            self._phrase_start = np.cumsum(self._phrase_size) - self._phrase_size
+            self._member_rows = self._store.rows_of(
+                np.fromiter(
+                    chain.from_iterable(members),
+                    dtype=np.int64,
+                    count=int(self._phrase_size.sum()),
+                )
+            )
+            # Per-phrase CTR overrides (shared-sort prices with c_i^q),
+            # keyed ``phrase number * rows + row`` and sorted.
+            overrides = []
+            if mode == "shared-sort":
+                overrides = sorted(
+                    (
+                        self._phrase_number[phrase] * self._store.size
+                        + self._store.row_of(advertiser.advertiser_id),
+                        factor,
+                    )
+                    for advertiser in self.advertisers
+                    for phrase, factor in advertiser.phrase_ctr_factors.items()
+                    if phrase in self._phrase_number
+                )
+            self._override_keys = np.array(
+                [key for key, _ in overrides], dtype=np.int64
+            )
+            self._override_factors = np.array(
+                [factor for _, factor in overrides], dtype=np.float64
+            )
         if throttle_mode == "bounded":
             # Bound-driven selection ranks each phrase directly from the
             # throttle cache's intervals; no aggregation plan or shared
@@ -672,22 +734,7 @@ class SharedAuctionEngine:
                 self.changefeed.publish(RoundClosed(round_index))
             return report
 
-        if self.throttle_mode == "bounded":
-            rankings, effective_bid_cents = self._bounded_rankings(
-                phrases, round_index, report
-            )
-        else:
-            scores, effective_bid_cents = self._effective_scores(
-                phrases, round_index
-            )
-            rankings = self._rank_phrases(
-                phrases, scores, effective_bid_cents, report
-            )
-        for phrase in phrases:
-            self._allocate_phrase(
-                phrase, rankings[phrase], effective_bid_cents, round_index,
-                report,
-            )
+        self._resolve_phrases(phrases, round_index, report)
         if self.changefeed.active:
             self.changefeed.publish(RoundClosed(round_index))
         return report
@@ -700,20 +747,7 @@ class SharedAuctionEngine:
         self._round_index += 1
         report = RoundReport(round_index, (phrase,))
         self._deliver_due_clicks(round_index, report)
-        if self.throttle_mode == "bounded":
-            rankings, effective_bid_cents = self._bounded_rankings(
-                (phrase,), round_index, report
-            )
-        else:
-            scores, effective_bid_cents = self._effective_scores(
-                (phrase,), round_index
-            )
-            rankings = self._rank_phrases(
-                (phrase,), scores, effective_bid_cents, report
-            )
-        self._allocate_phrase(
-            phrase, rankings[phrase], effective_bid_cents, round_index, report
-        )
+        self._resolve_phrases((phrase,), round_index, report)
         if self.changefeed.active:
             self.changefeed.publish(RoundClosed(round_index))
         return report
@@ -721,6 +755,23 @@ class SharedAuctionEngine:
     # ------------------------------------------------------------------
     # round stages (shared by batch rounds and query-at-a-time serving)
     # ------------------------------------------------------------------
+    def _resolve_phrases(
+        self, phrases: Sequence[str], round_index: int, report: RoundReport
+    ) -> None:
+        """Stages 2-4 for a non-empty phrase list: score, rank, allocate."""
+        if self.throttle_mode == "bounded":
+            table, effective_bid_cents = self._bounded_rankings(
+                phrases, round_index, report
+            )
+        else:
+            scores, effective_bid_cents = self._effective_scores(
+                phrases, round_index
+            )
+            table = self._rank_phrases(
+                phrases, scores, effective_bid_cents, report
+            )
+        self._allocate(phrases, table, effective_bid_cents, round_index, report)
+
     def _deliver_due_clicks(
         self, round_index: int, report: RoundReport
     ) -> None:
@@ -829,21 +880,22 @@ class SharedAuctionEngine:
         """
         store = self._store
         assert store is not None
-        counts = np.zeros(store.size, dtype=np.int64)
-        for phrase in phrases:
-            # Rows within one phrase are distinct, so fancy-index += is
-            # an exact per-phrase increment.
-            counts[store.phrase_rows(phrase)] += 1
+        numbers = np.fromiter(
+            map(self._phrase_number.__getitem__, phrases),
+            dtype=np.int64,
+            count=len(phrases),
+        )
+        members, _ = expand_runs(
+            self._phrase_start[numbers], self._phrase_size[numbers]
+        )
+        counts = np.bincount(self._member_rows[members], minlength=store.size)
         rows = np.flatnonzero(counts)
         m = counts[rows]
         ids_sub = store.ids[rows]
-        spent_map = self.budget_manager.spent_snapshot()
-        spent = np.zeros(store.size, dtype=np.int64)
-        if spent_map:
-            spent[store.rows_of(list(spent_map))] = np.fromiter(
-                spent_map.values(), dtype=np.int64, count=len(spent_map)
-            )
-        remaining_sub = np.maximum(store.budget_cents - spent, 0)[rows]
+        remaining_sub = np.maximum(
+            store.budget_cents[rows] - self.budget_manager.spent_by_row[rows],
+            0,
+        )
         bid_sub = store.bid_cents[rows]
         collector = self.collector
         cache = self._throttle_cache
@@ -919,11 +971,18 @@ class SharedAuctionEngine:
         scores: Mapping[int, float],
         effective_bid_cents: Mapping[int, float],
         report: RoundReport,
-    ) -> Dict[str, TopKList]:
-        """Stage 3: rankings via shared plan, shared sort + TA, or scans."""
-        rankings: Dict[str, TopKList] = {}
+    ) -> RankedTable:
+        """Stage 3: rankings via shared plan, shared sort + TA, or scans.
+
+        Returns:
+            The top-``(k + 1)`` ranking of every phrase, in ``phrases``
+            order, as one table.
+        """
+        k = self.k + 1
+        rankings: List[TopKList] = []
         if self.mode == "shared":
-            canonical = sorted({self._phrase_alias[p] for p in phrases})
+            alias = self._phrase_alias
+            canonical = sorted({alias[p] for p in phrases})
             if self._columnar_exec is not None:
                 # In cross-round mode the executor drains its
                 # change-feed subscription inside run_round, exactly
@@ -932,19 +991,27 @@ class SharedAuctionEngine:
                     self._score_by_row, canonical,
                     rows=self._occurring_rows,
                 )
+                number = {name: i for i, name in enumerate(canonical)}
+                table = result.table.take(
+                    np.fromiter(
+                        (number[alias[p]] for p in phrases),
+                        dtype=np.int64,
+                        count=len(phrases),
+                    )
+                )
             else:
                 assert self._executor is not None
                 # A connected CrossRoundPlanExecutor drains its
                 # change-feed subscription inside run_round; the base
                 # executor just runs.
                 result = self._executor.run_round(scores, canonical)
-            rankings = {
-                phrase: result.answers[self._phrase_alias[phrase]]
-                for phrase in phrases
-            }
+                table = RankedTable.from_lists(
+                    k, [result.answers[alias[p]] for p in phrases]
+                )
             report.merges += result.merges_performed
             report.scans += result.advertisers_scanned
-        elif self.mode == "shared-sort" and self._columnar_sort is not None:
+            return table
+        if self.mode == "shared-sort" and self._columnar_sort is not None:
             kernel = self._columnar_sort
             # The shared presort materializes every occurring row once
             # (only the repaired rows, under the sort cache); report it
@@ -954,7 +1021,7 @@ class SharedAuctionEngine:
             )
             for phrase in phrases:
                 ranking, sorted_accesses = kernel.rank_phrase(phrase)
-                rankings[phrase] = ranking
+                rankings.append(ranking)
                 report.scans += sorted_accesses
         elif self.mode == "shared-sort":
             assert self._sort_plan is not None
@@ -984,7 +1051,7 @@ class SharedAuctionEngine:
                     factors,
                     self.collector,
                 )
-                rankings[phrase] = ta.ranking
+                rankings.append(ta.ranking)
                 report.scans += ta.sorted_accesses
             # round_pulls == total_pulls for a fresh network; under the
             # cross-round cache it excludes pulls adopted streams
@@ -995,26 +1062,30 @@ class SharedAuctionEngine:
             for phrase in phrases:
                 phrase_rows = store.phrase_rows(phrase)
                 report.scans += len(phrase_rows)
-                rankings[phrase] = columnar_top_k(
-                    self.k + 1,
-                    self._score_by_row[phrase_rows],
-                    store.ids[phrase_rows],
-                    self.collector,
+                rankings.append(
+                    columnar_top_k(
+                        k,
+                        self._score_by_row[phrase_rows],
+                        store.ids[phrase_rows],
+                        self.collector,
+                    )
                 )
         else:
             for phrase in phrases:
                 ids = self.phrase_advertisers[phrase]
                 report.scans += len(ids)
-                rankings[phrase] = top_k_scan(
-                    self.k + 1,
-                    (ScoredAdvertiser(scores[i], i) for i in ids),
-                    self.collector,
+                rankings.append(
+                    top_k_scan(
+                        k,
+                        (ScoredAdvertiser(scores[i], i) for i in ids),
+                        self.collector,
+                    )
                 )
-        return rankings
+        return RankedTable.from_lists(k, rankings)
 
     def _bounded_rankings(
         self, phrases: Sequence[str], round_index: int, report: RoundReport
-    ) -> Tuple[Dict[str, TopKList], Dict[int, float]]:
+    ) -> Tuple[RankedTable, Dict[int, float]]:
         """Stages 2+3 fused, Section IV-B style: rank on bid bounds.
 
         Each phrase's top-(k + 1) is selected directly from lazily
@@ -1032,7 +1103,7 @@ class SharedAuctionEngine:
         for phrase in phrases:
             for advertiser_id in self.phrase_advertisers[phrase]:
                 auctions_of[advertiser_id] = auctions_of.get(advertiser_id, 0) + 1
-        rankings: Dict[str, TopKList] = {}
+        rankings: List[TopKList] = []
         effective_bid_cents: Dict[int, float] = {}
         for phrase in phrases:
             ids = self.phrase_advertisers[phrase]
@@ -1056,9 +1127,11 @@ class SharedAuctionEngine:
             selected = cache.select_top(contenders, self.k + 1, round_index)
             for advertiser_id, exact_cents, _score in selected:
                 effective_bid_cents[advertiser_id] = exact_cents
-            rankings[phrase] = TopKList(
-                self.k + 1,
-                [(score, advertiser_id) for advertiser_id, _, score in selected],
+            rankings.append(
+                TopKList(
+                    self.k + 1,
+                    [(score, advertiser_id) for advertiser_id, _, score in selected],
+                )
             )
         if self.changefeed.active:
             # Same publisher-side contract as the exact path: an
@@ -1069,60 +1142,104 @@ class SharedAuctionEngine:
                 if self._last_multiplicity.get(advertiser_id) != m:
                     self.changefeed.publish(BidChanged(advertiser_id))
             self._last_multiplicity.update(auctions_of)
-        return rankings, effective_bid_cents
+        return RankedTable.from_lists(self.k + 1, rankings), effective_bid_cents
 
-    def _allocate_phrase(
+    def _allocate(
         self,
-        phrase: str,
-        ranking: TopKList,
+        phrases: Sequence[str],
+        table: RankedTable,
         effective_bid_cents: Mapping[int, float],
         round_index: int,
         report: RoundReport,
     ) -> None:
-        """Stage 4: allocate slots, price clicks (GSP), record displays."""
-        entries = ranking.entries
-        allocated: List[Tuple[int, int, int]] = []
-        # Columnar scoring left every occurring effective bid in row
-        # space; reading it by row skips the map's per-id binary search.
-        row_of = (
-            self._store.row_of
-            if isinstance(effective_bid_cents, ArrayScoreMap)
-            else None
+        """Stage 4: allocate slots, price clicks (GSP), record displays.
+
+        One array pass over every slot of every phrase
+        (:func:`repro.engine.allocation.gsp_allocate`), then one
+        bulk recording call each on the budget manager and the click
+        model, in display order (phrases in order, slots ascending) --
+        the order the click model's draws follow.
+        """
+        displays = gsp_allocate(
+            table,
+            self._slot_factors,
+            lambda owner, ids: self._winner_inputs(
+                phrases, owner, ids, effective_bid_cents
+            ),
         )
-        for slot in range(min(self.k, len(entries))):
-            entry = entries[slot]
-            advertiser = self._by_id[entry.advertiser_id]
-            if entry.score <= 0.0:
-                continue
-            next_score = (
-                entries[slot + 1].score if slot + 1 < len(entries) else 0.0
-            )
-            c_i = (
-                advertiser.ctr_factor_for(phrase)
-                if self.mode == "shared-sort"
-                else advertiser.ctr_factor
-            )
-            if c_i <= 0.0:
-                continue
-            if row_of is not None:
-                effective = float(self._eff_by_row[row_of(entry.advertiser_id)])
-            else:
-                effective = effective_bid_cents[entry.advertiser_id]
-            price_cents = min(effective, next_score / c_i * 100.0)
-            price = int(round(price_cents))
-            if price <= 0:
-                continue
-            ctr = min(1.0, c_i * self.ctr_model.slot_factors[slot])
-            ledger_handle = self.budget_manager.record_display(
-                entry.advertiser_id, price, ctr, round_index
+        ids, prices, owner = displays.ids, displays.prices, displays.owner
+        if len(ids):
+            handles = self.budget_manager.record_display(
+                ids, prices, displays.ctrs, round_index
             )
             self.click_model.record_display(
-                entry.advertiser_id, phrase, price, ctr, round_index,
-                ledger_handle,
+                ids,
+                [phrases[index] for index in owner.tolist()],
+                prices,
+                displays.ctrs,
+                round_index,
+                handles,
             )
-            report.displays += 1
-            allocated.append((slot, entry.advertiser_id, price))
-        report.allocations[phrase] = tuple(allocated)
+        report.displays += len(ids)
+        allocated = list(
+            zip(displays.slot.tolist(), ids.tolist(), prices.tolist())
+        )
+        end = 0
+        for phrase, count in zip(
+            phrases, np.bincount(owner, minlength=len(phrases)).tolist()
+        ):
+            begin, end = end, end + count
+            report.allocations[phrase] = tuple(allocated[begin:end])
+
+    def _winner_inputs(
+        self,
+        phrases: Sequence[str],
+        owner,
+        ids,
+        effective_bid_cents: Mapping[int, float],
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """``(c_i, b̂_i)`` of the slot holders ``ids``.
+
+        ``owner`` is each holder's index into ``phrases``.  ``c_i`` is
+        the phrase's factor ``c_i^q`` in shared-sort mode and the
+        phrase-independent factor otherwise.  The columnar layout reads
+        both by row (scoring left every occurring ``b̂_i`` in row
+        space); the object layout looks them up per holder.
+        """
+        store = self._store
+        if store is not None:
+            # Every ranked id is a store row's, so no membership check.
+            rows = np.searchsorted(store.ids, ids)
+            factors = store.ctr_factors[rows]
+            keys = self._override_keys
+            if len(keys):
+                numbers = np.fromiter(
+                    map(self._phrase_number.__getitem__, phrases),
+                    dtype=np.int64,
+                    count=len(phrases),
+                )
+                wanted = numbers[owner] * store.size + rows
+                at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+                factors = np.where(
+                    keys[at] == wanted, self._override_factors[at], factors
+                )
+            return factors, self._eff_by_row[rows]
+        by_id = self._by_id
+        holders = ids.tolist()
+        if self.mode == "shared-sort":
+            factors = [
+                by_id[advertiser_id].ctr_factor_for(phrases[index])
+                for index, advertiser_id in zip(owner.tolist(), holders)
+            ]
+        else:
+            factors = [by_id[advertiser_id].ctr_factor for advertiser_id in holders]
+        return (
+            np.array(factors, dtype=np.float64),
+            np.array(
+                [effective_bid_cents[advertiser_id] for advertiser_id in holders],
+                dtype=np.float64,
+            ),
+        )
 
     def settle_remaining_clicks(self) -> Tuple[int, int, int]:
         """Flush the click model and settle every still-pending click.

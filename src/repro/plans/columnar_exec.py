@@ -34,6 +34,13 @@ keep the fold's cost-model meaning -- ``merges_performed`` is
 ``advertisers_scanned`` the total size of the needed fragments -- and
 reach the collector in bulk, once per round.
 
+A round's answers come back as one
+:class:`repro.core.ranked.RankedTable` -- flat ``scores`` / ``ids``
+arrays with a ``(start, length)`` run per requested query -- which the
+engine allocates and prices from directly;
+:attr:`ColumnarExecResult.answers` builds :class:`TopKList` objects
+only when a caller reads it.
+
 Cross-round caching (``exec_cache=True``) runs in the same array space
 (``cross_round=True``): instead of the object executor's per-variable
 score dicts and DAG-node ancestor-cone walks, the executor keeps a
@@ -53,17 +60,20 @@ table rows with zero scans, and a query is re-merged only when one of
 its fragments was rescanned since the query was last answered (a
 per-fragment rescan stamp against a per-query answer stamp); otherwise
 its previous answer is served merge-free -- the columnar analogue of
-the object cache's revalidation.
+the object cache's revalidation.  Answers stay resident the same way as
+fragment lists, as a ``(query, k)`` table of scores and ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.columnar import ColumnarStore, require_numpy
-from repro.core.topk import ScoredAdvertiser, TopKList
+from repro.core.ranked import RankedTable, expand_runs
+from repro.core.topk import TopKList
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.fragments import identify_fragments
@@ -115,9 +125,11 @@ def segmented_top_k(
     keys.sort()
     labels = keys // size
     if len(keys) > k:
-        # Position within the segment: index minus the segment's first.
+        # Position within the segment: index minus the segment's first
+        # (segments are sorted, so each starts where the earlier end).
+        counts = np.bincount(labels)
         within = np.arange(len(keys))
-        within -= np.searchsorted(labels, labels)
+        within -= (np.cumsum(counts) - counts)[labels]
         keep = within < k
         keys = keys[keep]
         labels = labels[keep]
@@ -125,25 +137,16 @@ def segmented_top_k(
     return labels, by_rank[keys]
 
 
-def _expand(starts, lengths) -> Tuple["np.ndarray", "np.ndarray"]:
-    """Flat positions of the runs ``[starts[i], starts[i] + lengths[i])``.
-
-    Returns ``(positions, owner)``: the runs' positions concatenated in
-    order, and for each position the index ``i`` of its run.
-    """
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    offsets = starts - np.cumsum(lengths) + lengths
-    positions = np.arange(len(owner))
-    positions += offsets[owner]
-    return positions, owner
-
-
 @dataclass
 class ColumnarExecResult:
     """One round's answers and work, mirroring ``ExecutionResult``.
 
     Attributes:
-        answers: ``{query name: TopKList}`` for every requested query.
+        names: The distinct requested query names, in request order.
+        table: The answers as one ranked table: ranking ``i`` answers
+            ``names[i]``.  The engine prices and allocates straight from
+            it; :attr:`answers` builds :class:`TopKList` objects only
+            when read.
         merges_performed: Binary top-k merges of the fold the kernel
             replaces (one per extra fragment beyond the first in each
             requested query's cover).
@@ -164,13 +167,20 @@ class ColumnarExecResult:
             state stays sound for later rounds).
     """
 
-    answers: Dict[str, TopKList]
+    names: Tuple[str, ...]
+    table: Optional[RankedTable] = None
     merges_performed: int = 0
     advertisers_scanned: int = 0
     nodes_reused: int = 0
     nodes_invalidated: int = 0
     nodes_revalidated: int = 0
     bypassed: bool = False
+
+    @cached_property
+    def answers(self) -> Dict[str, TopKList]:
+        """``{query name: TopKList}`` for every requested query."""
+        assert self.table is not None
+        return dict(zip(self.names, self.table.rankings()))
 
 
 class ColumnarFragmentExecutor:
@@ -288,9 +298,12 @@ class ColumnarFragmentExecutor:
             # every fragment of its cover revalidates without merging.
             self._frag_stamp = np.zeros(count, dtype=np.int64)
             self._answer_stamp = np.full(len(covers), -1, dtype=np.int64)
-            self._answer_value: List[Optional[TopKList]] = [None] * len(
-                covers
-            )
+            # The resident answer table, laid out like the fragment
+            # table: query ``q``'s answer is ``_answer_len[q]`` entries
+            # from flat position ``q * k``.
+            self._answer_scores = np.zeros(len(covers) * k, dtype=np.float64)
+            self._answer_ids = np.zeros(len(covers) * k, dtype=np.int64)
+            self._answer_len = np.zeros(len(covers), dtype=np.int64)
             # The vectorized invalidation cone: each row belongs to at
             # most one fragment, so dirty rows map to dirty fragments
             # with one fancy-index write.
@@ -298,7 +311,7 @@ class ColumnarFragmentExecutor:
             self._fragment_of_row[self._frag_rows] = np.repeat(
                 np.arange(count), self._frag_size
             )
-            self._trivial_value: Dict[str, TopKList] = {}
+            self._trivial_value: Dict[str, float] = {}
             self._trivial_epoch: Dict[str, int] = {}
             self._dirty_rows_last = np.zeros(0, dtype=np.int64)
 
@@ -397,15 +410,17 @@ class ColumnarFragmentExecutor:
 
     def _resolve(
         self, names: Sequence[str]
-    ) -> Tuple[List[str], List[str], List[str], "np.ndarray"]:
+    ) -> Tuple[Tuple[str, ...], List[str], "np.ndarray", "np.ndarray"]:
         """Validate and split the requested names before any work.
 
         Returns:
-            ``(ordered, trivial, queries, indices)``: the distinct names
-            in request order, the trivial ones, the non-trivial ones,
-            and the latter's query indices.
+            ``(ordered, trivial, indices, runs)``: the distinct names in
+            request order, the trivial ones, the non-trivial ones' query
+            indices, and per ordered name its run in the round's answer
+            table -- the non-trivial answers first, in ``indices`` order,
+            then the trivial ones, in ``trivial`` order.
         """
-        ordered = list(dict.fromkeys(names))
+        ordered = tuple(dict.fromkeys(names))
         trivial: List[str] = []
         queries: List[str] = []
         indices: List[int] = []
@@ -418,39 +433,72 @@ class ColumnarFragmentExecutor:
                 raise InvalidPlanError(f"unknown query {name!r}")
             queries.append(name)
             indices.append(index)
-        return ordered, trivial, queries, np.array(indices, dtype=np.int64)
+        run_of = {name: run for run, name in enumerate(queries + trivial)}
+        runs = np.fromiter(
+            map(run_of.__getitem__, ordered), dtype=np.int64, count=len(ordered)
+        )
+        return ordered, trivial, np.array(indices, dtype=np.int64), runs
+
+    def _trivial_rows(self, trivial: Sequence[str]) -> "np.ndarray":
+        return self.store.rows_of([self._trivial[name] for name in trivial])
+
+    def _answer_table(
+        self, runs, scores, ids, lengths, trivial_scores, trivial_rows
+    ) -> RankedTable:
+        """The round's answer table: query answers, then trivial ones.
+
+        Args:
+            runs: Per requested name, its run (see :meth:`_resolve`).
+            scores: float64 query-answer entries, grouped by query.
+            ids: Parallel int64 ids.
+            lengths: Per query, its answer's entry count.
+            trivial_scores: float64 score per trivial answer.
+            trivial_rows: Parallel row of each trivial answer's one
+                advertiser.
+        """
+        lengths = np.concatenate(
+            (lengths, np.ones(len(trivial_rows), dtype=np.int64))
+        )
+        return RankedTable(
+            self.k,
+            np.concatenate((scores, trivial_scores)),
+            np.concatenate((ids, self.store.ids[trivial_rows])),
+            (np.cumsum(lengths) - lengths)[runs],
+            lengths[runs],
+        )
 
     def _run_fresh(
         self, score_by_row, names: Sequence[str]
     ) -> ColumnarExecResult:
         """One round from scratch: both kernel stages over every needed
         fragment."""
-        ordered, trivial, queries, indices = self._resolve(names)
-        result = ColumnarExecResult(answers={})
-        answers: Dict[str, TopKList] = {}
-        for name in trivial:
-            answers[name] = self._trivial_answer(name, score_by_row)
+        ordered, trivial, indices, runs = self._resolve(names)
+        result = ColumnarExecResult(ordered)
+        trivial_rows = self._trivial_rows(trivial)
         result.advertisers_scanned += len(trivial)
-        if queries:
+        scores = np.zeros(0, dtype=np.float64)
+        ids = np.zeros(0, dtype=np.int64)
+        lengths = np.zeros(0, dtype=np.int64)
+        if len(indices):
             fragments, owner = self._covers(indices)
             needed = self._needed(fragments)
-            scores, ids, counts = self._scan(score_by_row, needed, result)
+            pool_scores, pool_ids, counts = self._scan(
+                score_by_row, needed, result
+            )
             # Where each needed fragment's survivors sit in the pool.
             run_start = np.zeros(len(self._frag_size), dtype=np.int64)
             run_len = np.zeros(len(self._frag_size), dtype=np.int64)
             run_start[needed] = np.cumsum(counts) - counts
             run_len[needed] = counts
-            answers.update(
-                zip(
-                    queries,
-                    self._merge(
-                        len(queries), fragments, owner, run_start, run_len,
-                        scores, ids,
-                    ),
-                )
+            scores, ids, lengths = self._merge(
+                len(indices), fragments, owner, run_start, run_len,
+                pool_scores, pool_ids,
             )
-            result.merges_performed += len(fragments) - len(queries)
-        result.answers = {name: answers[name] for name in ordered}
+            result.merges_performed += len(fragments) - len(indices)
+        result.table = self._answer_table(
+            runs, scores, ids, lengths, score_by_row[trivial_rows],
+            trivial_rows,
+        )
         self._count(result)
         return result
 
@@ -519,12 +567,11 @@ class ColumnarFragmentExecutor:
 
     def _rows_for(self, names: Sequence[str]) -> "np.ndarray":
         """Scored-row union of the requested queries (sorted, unique)."""
-        _, trivial, _, indices = self._resolve(names)
+        _, trivial, indices, _ = self._resolve(names)
         mask = np.zeros(self.store.size, dtype=bool)
-        for name in trivial:
-            mask[self.store.row_of(self._trivial[name])] = True
+        mask[self._trivial_rows(trivial)] = True
         fragments, _ = self._covers(indices)
-        positions, _ = _expand(
+        positions, _ = expand_runs(
             self._frag_start[fragments], self._frag_size[fragments]
         )
         mask[self._frag_rows[positions]] = True
@@ -593,23 +640,29 @@ class ColumnarFragmentExecutor:
         self, score_by_row, names: Sequence[str]
     ) -> ColumnarExecResult:
         """Serve requested queries, rescanning only dirty fragments."""
-        ordered, trivial, queries, indices = self._resolve(names)
-        result = ColumnarExecResult(answers={})
-        answers: Dict[str, TopKList] = {}
-        for name in trivial:
-            row = self.store.row_of(self._trivial[name])
+        ordered, trivial, indices, runs = self._resolve(names)
+        result = ColumnarExecResult(ordered)
+        trivial_rows = self._trivial_rows(trivial)
+        trivial_scores = np.empty(len(trivial), dtype=np.float64)
+        for position, (name, row) in enumerate(
+            zip(trivial, trivial_rows.tolist())
+        ):
             epoch = int(self._row_epoch[row])
-            cached = self._trivial_value.get(name)
-            if cached is not None and self._trivial_epoch[name] == epoch:
-                answers[name] = cached
+            if (
+                name in self._trivial_value
+                and self._trivial_epoch[name] == epoch
+            ):
+                trivial_scores[position] = self._trivial_value[name]
                 result.nodes_reused += 1
                 continue
-            answer = self._trivial_answer(name, score_by_row)
-            self._trivial_value[name] = answer
+            score = float(score_by_row[row])
+            self._trivial_value[name] = score
             self._trivial_epoch[name] = epoch
-            answers[name] = answer
+            trivial_scores[position] = score
             result.advertisers_scanned += 1
-        if queries:
+        lengths = np.zeros(0, dtype=np.int64)
+        positions = lengths
+        if len(indices):
             fragments, owner = self._covers(indices)
             needed = self._needed(fragments)
             stale = needed[self._frag_dirty[needed]]
@@ -629,18 +682,25 @@ class ColumnarFragmentExecutor:
             if remerge.any():
                 merged = indices[remerge]
                 fragments, owner = self._covers(merged)
-                lists = self._merge(
+                scores, ids, counts = self._merge(
                     len(merged), fragments, owner,
                     np.arange(len(self._top_len)) * self.k, self._top_len,
                     self._top_scores, self._top_ids,
                 )
-                for index, answer in zip(merged.tolist(), lists):
-                    self._answer_value[index] = answer
+                slots, _ = expand_runs(merged * self.k, counts)
+                self._answer_scores[slots] = scores
+                self._answer_ids[slots] = ids
+                self._answer_len[merged] = counts
                 self._answer_stamp[merged] = self.rounds
                 result.merges_performed += len(fragments) - len(merged)
-            for name, index in zip(queries, indices.tolist()):
-                answers[name] = self._answer_value[index]
-        result.answers = {name: answers[name] for name in ordered}
+            lengths = self._answer_len[indices]
+            positions, _ = expand_runs(indices * self.k, lengths)
+        # Fancy indexing copies: the result stays valid after the
+        # resident table moves on.
+        result.table = self._answer_table(
+            runs, self._answer_scores[positions], self._answer_ids[positions],
+            lengths, trivial_scores, trivial_rows,
+        )
         self._count(result)
         return result
 
@@ -650,7 +710,7 @@ class ColumnarFragmentExecutor:
     def _covers(self, indices) -> Tuple["np.ndarray", "np.ndarray"]:
         """Concatenated cover fragments of the given queries, plus each
         entry's position in ``indices``."""
-        positions, owner = _expand(
+        positions, owner = expand_runs(
             self._cover_start[indices], self._cover_len[indices]
         )
         return self._cover_frags[positions], owner
@@ -670,7 +730,7 @@ class ColumnarFragmentExecutor:
             ``(scores, ids, counts)``: the survivors grouped by fragment
             in listed order, best first, and how many each kept.
         """
-        positions, owner = _expand(
+        positions, owner = expand_runs(
             self._frag_start[fragments], self._frag_size[fragments]
         )
         rows = self._frag_rows[positions]
@@ -688,7 +748,7 @@ class ColumnarFragmentExecutor:
     ) -> None:
         """Refresh the resident table rows of the stale fragments."""
         scores, ids, counts = self._scan(score_by_row, stale, result)
-        slots, _ = _expand(stale * self.k, counts)
+        slots, _ = expand_runs(stale * self.k, counts)
         self._top_scores[slots] = scores
         self._top_ids[slots] = ids
         self._top_len[stale] = counts
@@ -698,7 +758,7 @@ class ColumnarFragmentExecutor:
 
     def _merge(
         self, count: int, fragments, owner, run_start, run_len, scores, ids
-    ) -> List[TopKList]:
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
         """Query stage: each query's top-k over its fragments' survivors.
 
         Args:
@@ -713,39 +773,15 @@ class ColumnarFragmentExecutor:
             ids: Parallel int64 survivor ids.
 
         Returns:
-            One :class:`TopKList` per query, in query order.
+            ``(scores, ids, counts)``: every query's answer, grouped by
+            query in query order and best first, and each answer's
+            entry count.
         """
-        positions, entry = _expand(run_start[fragments], run_len[fragments])
+        positions, entry = expand_runs(run_start[fragments], run_len[fragments])
         labels, chosen = segmented_top_k(
             self.k, scores, ids, owner[entry], positions
         )
-        counts = np.bincount(labels, minlength=count).tolist()
-        chosen_scores = scores[chosen].tolist()
-        chosen_ids = ids[chosen].tolist()
-        k = self.k
-        lists: List[TopKList] = []
-        end = 0
-        for size in counts:
-            start, end = end, end + size
-            lists.append(
-                TopKList.from_ranked(
-                    k,
-                    tuple(
-                        map(
-                            ScoredAdvertiser,
-                            chosen_scores[start:end],
-                            chosen_ids[start:end],
-                        )
-                    ),
-                )
-            )
-        return lists
-
-    def _trivial_answer(self, name: str, score_by_row) -> TopKList:
-        variable = self._trivial[name]
-        return TopKList.singleton(
-            self.k, float(score_by_row[self.store.row_of(variable)]), variable
-        )
+        return scores[chosen], ids[chosen], np.bincount(labels, minlength=count)
 
     def _count(self, result: ColumnarExecResult) -> None:
         """Move the round's work counters to the collector in bulk."""

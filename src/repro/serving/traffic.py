@@ -21,6 +21,7 @@ phrase frequencies and the mean-consistency of the gaps.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Sequence
@@ -86,9 +87,9 @@ class TrafficGenerator:
             raise WorkloadError("traffic needs at least one phrase")
         if len(set(self.phrases)) != len(self.phrases):
             raise WorkloadError("traffic phrases must be distinct")
-        if rate_qps <= 0.0:
+        if not (math.isfinite(rate_qps) and rate_qps > 0.0):
             raise WorkloadError(
-                f"arrival rate must be positive, got {rate_qps}"
+                f"arrival rate must be finite and positive, got {rate_qps}"
             )
         self.rate_qps = float(rate_qps)
         self.zipf_exponent = float(zipf_exponent)

@@ -36,14 +36,14 @@ def fresh_bid(manager, advertiser_id, bid_cents, num_auctions, round_index):
 class TestEntryLifecycle:
     def test_exact_bid_matches_uncached_float_identically(self):
         manager, cache, _ = make_cache({1: 300})
-        manager.record_display(1, 90, 0.7, 0)
-        manager.record_display(1, 80, 0.4, 0)
+        manager.record_display([1], [90], [0.7], 0)
+        manager.record_display([1], [80], [0.4], 0)
         cached = cache.exact_bid(1, 120, 3, 0)
         assert cached == fresh_bid(manager, 1, 120, 3, 0)
 
     def test_clean_advertiser_reuses(self):
         manager, cache, _ = make_cache({1: 300})
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         first = cache.exact_bid(1, 120, 3, 0)
         second = cache.exact_bid(1, 120, 3, 0)
         assert first == second
@@ -56,10 +56,10 @@ class TestEntryLifecycle:
         manager, cache, _ = make_cache(
             {1: 300}, decay=GeometricDecay(ratio=1.0, horizon=4)
         )
-        handle = manager.record_display(1, 90, 0.7, 0)
+        handle = manager.record_display([1], [90], [0.7], 0)[0]
         cache.exact_bid(1, 120, 3, 0)
 
-        manager.record_display(1, 80, 0.4, 0)  # display dirties
+        manager.record_display([1], [80], [0.4], 0)  # display dirties
         assert cache.exact_bid(1, 120, 3, 0) == fresh_bid(manager, 1, 120, 3, 0)
 
         manager.settle_click(1, 90, 0, handle=handle)  # settlement dirties
@@ -75,7 +75,7 @@ class TestEntryLifecycle:
 
     def test_key_change_rebuilds_without_event(self):
         manager, cache, _ = make_cache({1: 300})
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         cache.exact_bid(1, 120, 3, 0)
         # A different bid or multiplicity is a different problem even
         # though no event fired: the key carries it.
@@ -92,7 +92,7 @@ class TestEntryLifecycle:
 
     def test_memoize_false_never_reuses_and_needs_no_feed(self):
         manager = BudgetManager({1: 300})
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         cache = IncrementalThrottleCache(manager, memoize=False)
         for _ in range(3):
             assert cache.exact_bid(1, 120, 3, 0) == fresh_bid(
@@ -104,7 +104,7 @@ class TestEntryLifecycle:
 
     def test_advertiser_removed_evicts(self):
         manager, cache, feed = make_cache({1: 300})
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         cache.exact_bid(1, 120, 3, 0)
         assert cache.cached_advertisers() == 1
         feed.publish(AdvertiserRemoved(1))
@@ -115,7 +115,7 @@ class TestEntryLifecycle:
 class TestRoundScoping:
     def test_no_decay_entries_survive_across_rounds(self):
         manager, cache, _ = make_cache({1: 300})
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         assert not manager.decay_varies
         cache.exact_bid(1, 120, 3, 0)
         # No event between rounds: under NoDecay the snapshot cannot
@@ -127,7 +127,7 @@ class TestRoundScoping:
         manager, cache, _ = make_cache(
             {1: 300}, decay=GeometricDecay(ratio=0.5, horizon=32)
         )
-        manager.record_display(1, 90, 0.8, 0)
+        manager.record_display([1], [90], [0.8], 0)
         assert manager.decay_varies
         cache.exact_bid(1, 120, 3, 0)
         assert cache.exact_bid(1, 120, 3, 0) == fresh_bid(manager, 1, 120, 3, 0)
@@ -144,14 +144,14 @@ class TestRoundScoping:
         manager, cache, _ = make_cache(
             {1: 200}, decay=GeometricDecay(ratio=0.5, horizon=32)
         )
-        manager.record_display(1, 90, 0.8, 0)
+        manager.record_display([1], [90], [0.8], 0)
         assert cache.exact_bid(1, 120, 3, 0) != cache.exact_bid(1, 120, 3, 3)
 
 
 class TestVerifyMode:
     def test_sound_feed_passes_verification(self):
         manager, cache, _ = make_cache({1: 300}, verify=True)
-        handle = manager.record_display(1, 90, 0.7, 0)
+        handle = manager.record_display([1], [90], [0.7], 0)[0]
         for _ in range(2):
             assert cache.exact_bid(1, 120, 3, 0) == fresh_bid(
                 manager, 1, 120, 3, 0
@@ -164,7 +164,7 @@ class TestVerifyMode:
 
     def test_undeclared_book_movement_is_caught(self):
         manager, cache, _ = make_cache({1: 300}, verify=True)
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         cache.exact_bid(1, 120, 3, 0)
         # Mutate the book behind the feed's back: the entry still
         # looks clean, so the next access takes the reuse path and the
@@ -180,7 +180,7 @@ class TestWorkAccounting:
         # quick test answers for free and honest accounting must not
         # claim a DP ran.
         manager, cache, _ = make_cache({1: 100_000})
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         assert cache.exact_bid(1, 120, 3, 0) == 120.0
         assert cache.stats.exact_fallbacks == 0
 
@@ -191,7 +191,7 @@ class TestWorkAccounting:
 
     def test_nontrivial_problem_counts_one_fallback(self):
         manager, cache, _ = make_cache({1: 150})
-        manager.record_display(1, 90, 0.7, 0)
+        manager.record_display([1], [90], [0.7], 0)
         cache.exact_bid(1, 120, 3, 0)
         assert cache.stats.exact_fallbacks == 1
 
@@ -211,9 +211,9 @@ class TestSelectTop:
         for advertiser_id in range(count):
             for _ in range(rng.randint(0, 3)):
                 manager.record_display(
-                    advertiser_id,
-                    rng.randint(40, 120),
-                    rng.uniform(0.1, 0.9),
+                    [advertiser_id],
+                    [rng.randint(40, 120)],
+                    [rng.uniform(0.1, 0.9)],
                     0,
                 )
             specs.append(
@@ -255,7 +255,7 @@ class TestSelectTop:
     def test_exact_ties_break_by_lower_id(self):
         manager, cache, _ = make_cache({3: 200, 7: 200})
         for advertiser_id in (3, 7):
-            manager.record_display(advertiser_id, 90, 0.5, 0)
+            manager.record_display([advertiser_id], [90], [0.5], 0)
         selected = cache.select_top(
             [(7, 120, 2, 0.8), (3, 120, 2, 0.8)], 2, 0
         )

@@ -120,8 +120,8 @@ class CachedThrottleMachine(RuleBasedStateMachine):
         ctr=st.floats(min_value=0.05, max_value=0.95),
     )
     def display(self, advertiser: int, price: int, ctr: float) -> None:
-        handle = self.manager.record_display(
-            advertiser, price, ctr, self.round_index
+        (handle,) = self.manager.record_display(
+            [advertiser], [price], [ctr], self.round_index
         )
         self.live_handles.append((advertiser, price, self.round_index, handle))
 

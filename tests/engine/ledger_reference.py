@@ -14,7 +14,7 @@ same multiset of events for any valid call sequence.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.budgets.outstanding import ClickDecayModel, NoDecay, OutstandingLedger
 from repro.budgets.throttle import ThrottleProblem
@@ -94,24 +94,29 @@ class LedgerReferenceManager:
 
     def record_display(
         self,
-        advertiser_id: int,
-        price_cents: int,
-        ctr: float,
+        advertiser_ids: Sequence[int],
+        prices_cents: Sequence[int],
+        ctrs: Sequence[float],
         round_index: int,
-    ) -> int:
-        """Register a displayed ad as outstanding debt.
+    ) -> List[int]:
+        """Register a round's displayed ads as outstanding debt, in order.
 
         Returns:
-            The ledger handle identifying exactly this outstanding ad.
-            Thread it to :meth:`settle_click` when the click arrives:
-            the handle is the only unambiguous name when an advertiser
-            wins several same-price slots in one round.
+            The ledger handles identifying exactly these outstanding
+            ads.  Thread each to :meth:`settle_click` when its click
+            arrives: the handle is the only unambiguous name when an
+            advertiser wins several same-price slots in one round.
         """
-        ad = self._ledger(advertiser_id).record_display(
-            price_cents, ctr, round_index
-        )
-        self._publish_change(advertiser_id)
-        return ad.handle
+        handles = []
+        for advertiser_id, price_cents, ctr in zip(
+            advertiser_ids, prices_cents, ctrs
+        ):
+            ad = self._ledger(advertiser_id).record_display(
+                price_cents, ctr, round_index
+            )
+            self._publish_change(advertiser_id)
+            handles.append(ad.handle)
+        return handles
 
     def settle_click(
         self,

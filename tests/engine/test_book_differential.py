@@ -102,8 +102,8 @@ class BookDifferential(RuleBasedStateMachine):
     )
     def display(self, advertiser, price, ctr, offset) -> None:
         shown = self.clock + offset
-        handle, ledger_handle = self.both(
-            "record_display", advertiser, price, ctr, shown
+        (handle,), (ledger_handle,) = self.both(
+            "record_display", [advertiser], [price], [ctr], shown
         )
         self.displays.append((advertiser, price, shown, handle, ledger_handle))
 
@@ -212,8 +212,8 @@ def test_clock_jump_matches_the_ledgers_and_drains_the_heap(decay):
     manager = BudgetManager({}, decay)
     reference = LedgerReferenceManager({}, decay)
     for books in (manager, reference):
-        books.record_display(1, 50, 0.5, 0)
-        books.record_display(2, 60, 0.0, 0)
+        books.record_display([1], [50], [0.5], 0)
+        books.record_display([2], [60], [0.0], 0)
     assert manager.expire_outstanding(JUMP) == reference.expire_outstanding(
         JUMP
     )

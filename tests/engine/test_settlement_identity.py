@@ -64,8 +64,8 @@ class TestSettlementIdentity:
         trivially-unthrottled shortcut mask which ad was left behind.
         """
         manager = BudgetManager({1: 250})
-        high = manager.record_display(1, 100, 0.9, 0)
-        low = manager.record_display(1, 100, 0.1, 0)
+        high = manager.record_display([1], [100], [0.9], 0)[0]
+        low = manager.record_display([1], [100], [0.1], 0)[0]
         return manager, high, low
 
     def _remaining_ctrs(self, manager):
@@ -111,7 +111,7 @@ class TestSettlementIdentity:
         # A click arriving after its ad aged out of the ledger must
         # still charge the budget; the stale handle is simply ignored.
         manager = BudgetManager({1: 1_000})
-        handle = manager.record_display(1, 100, 0.5, 0)
+        handle = manager.record_display([1], [100], [0.5], 0)[0]
         manager.expire_outstanding(10_000_000)
         charge = manager.settle_click(1, 100, 0, handle=handle)
         assert charge.charged_cents == 100
@@ -121,7 +121,7 @@ class TestSettlementIdentity:
         # Engine paths that never recorded a ledger entry settle with
         # handle -1, which can never collide with a real handle.
         manager = BudgetManager({1: 1_000})
-        manager.record_display(1, 100, 0.5, 0)
+        manager.record_display([1], [100], [0.5], 0)
         charge = manager.settle_click(1, 100, 0, handle=-1)
         assert charge.charged_cents == 100
         # The recorded ad is untouched.

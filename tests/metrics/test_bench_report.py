@@ -93,6 +93,21 @@ class TestEvaluateTracked:
         assert rows["BENCH_budgets:steady_books.speedup"] == "REGRESSED"
         assert rows["BENCH_budgets:steady_books.identical"] == "ok"
 
+    def test_allocation_below_speedup_floor_is_regressed(self):
+        benchmarks = self._benchmarks(
+            BENCH_columnar={
+                "allocation": {"identical": True, "speedup": 2.5},
+            }
+        )
+        rows = {
+            metric: status
+            for metric, _, _, status in bench_report.evaluate_tracked(
+                benchmarks
+            )
+        }
+        assert rows["BENCH_columnar:allocation.speedup"] == "REGRESSED"
+        assert rows["BENCH_columnar:allocation.identical"] == "ok"
+
     def test_missing_file_is_flagged(self):
         rows = bench_report.evaluate_tracked({})
         assert rows and all(status == "MISSING" for *_, status in rows)
@@ -205,6 +220,7 @@ class TestMain:
                     "outcomes_identical": True,
                     "shared_over_unshared": 1.0,
                 },
+                "allocation": {"identical": True, "speedup": 8.0},
             },
         )
         return tmp_path
@@ -212,7 +228,7 @@ class TestMain:
     def test_healthy_root_passes_check(self, tmp_path, capsys):
         root = self._healthy_root(tmp_path)
         assert bench_report.main(["--root", str(root), "--check"]) == 0
-        assert "21/21 tracked ok" in capsys.readouterr().out
+        assert "23/23 tracked ok" in capsys.readouterr().out
         assert (root / "bench_tables.txt").exists()
 
     def test_output_is_byte_stable(self, tmp_path):

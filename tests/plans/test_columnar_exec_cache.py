@@ -236,3 +236,36 @@ class TestAutotunerBypass:
         by_id[3] = 44.0
         with pytest.raises(InvalidPlanError, match="unsound dirty set"):
             executor.run_round(_scores(store, by_id), ALL, dirty=set())
+
+
+class TestRankedTableResult:
+    """Answers come back as one ranked table; lists are built on read."""
+
+    def test_table_matches_answers_in_request_order(self):
+        store = _store()
+        for executor in (_executor(store), _executor(store, cross_round=False)):
+            scores = _scores(store, {i: float(10 - i) for i in IDS})
+            result = executor.run_round(scores, ["t7", "q2", "q1", "q2"])
+            assert result.names == ("t7", "q2", "q1")
+            assert list(result.answers) == ["t7", "q2", "q1"]
+            assert result.table.rankings() == list(result.answers.values())
+            assert result.table.length.tolist() == [1, 3, 3]
+
+    def test_a_result_outlives_later_cached_rounds(self):
+        # The resident answer table moves on every remerge; a result
+        # read late must still show its own round.
+        store = _store()
+        executor = _executor(store)
+        first = executor.run_round(
+            _scores(store, {i: float(i) for i in IDS}), ALL
+        )
+        expected = _entries(
+            ColumnarFragmentExecutor(_instance(), store, 3).run_round(
+                _scores(store, {i: float(i) for i in IDS}), ALL
+            )
+        )
+        executor.run_round(
+            _scores(store, {i: float(20 - i) for i in IDS}), ALL,
+            dirty=IDS,
+        )
+        assert _entries(first) == expected

@@ -137,6 +137,17 @@ class TestValidation:
         with pytest.raises(WorkloadError, match="rate"):
             TrafficGenerator(PHRASES, 0.0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        # NaN passed the old `rate <= 0` test and timestamped every
+        # arrival NaN.
+        with pytest.raises(WorkloadError, match="finite"):
+            TrafficGenerator(PHRASES, rate)
+
+    def test_rejects_non_finite_exponent(self):
+        with pytest.raises(WorkloadError, match="exponent"):
+            TrafficGenerator(PHRASES, 1.0, zipf_exponent=float("nan"))
+
     def test_rejects_negative_exponent(self):
         with pytest.raises(WorkloadError, match="exponent"):
             TrafficGenerator(PHRASES, 1.0, zipf_exponent=-0.5)

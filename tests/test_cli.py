@@ -23,6 +23,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["engine", "--mode", "warp"])
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-5", "0", "fast"])
+    def test_arrival_rate_must_be_finite_positive(self, rate, capsys):
+        # nan/inf used to run and print a table built from NaN
+        # timestamps; -5 ended in a traceback.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["engine", "--serve", "--arrival-rate", rate]
+            )
+        assert "--arrival-rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponent", ["nan", "inf", "-1"])
+    def test_zipf_exponent_must_be_finite_non_negative(self, exponent, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["engine", "--serve", "--zipf-exponent", exponent]
+            )
+        assert "--zipf-exponent" in capsys.readouterr().err
+
+    def test_zero_zipf_exponent_is_uniform_traffic(self):
+        args = build_parser().parse_args(
+            ["engine", "--serve", "--zipf-exponent", "0"]
+        )
+        assert args.zipf_exponent == 0.0
+
     def test_trace_capacity_must_be_positive(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["engine", "--trace-capacity", "0"])

@@ -47,7 +47,7 @@ class BudgetMachine(RuleBasedStateMachine):
 
     @rule(price=st.integers(min_value=1, max_value=120))
     def display(self, price: int) -> None:
-        self.manager.record_display(1, price, 0.5, self.round_index)
+        self.manager.record_display([1], [price], [0.5], self.round_index)
         self.displayed.append((price, self.round_index))
 
     @rule()

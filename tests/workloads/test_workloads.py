@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.distributions import (
+    exponential_interarrival,
     lognormal_cents,
     sample_subset,
     zipf_search_rates,
@@ -29,6 +30,17 @@ class TestDistributions:
             zipf_weights(0)
         with pytest.raises(WorkloadError):
             zipf_weights(5, -1.0)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_zipf_weights_reject_non_finite_exponent(self, exponent):
+        # NaN passed the old `exponent < 0` test and made every weight NaN.
+        with pytest.raises(WorkloadError, match="finite"):
+            zipf_weights(5, exponent)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_interarrival_rejects_bad_rate(self, rate):
+        with pytest.raises(WorkloadError, match="rate"):
+            exponential_interarrival(random.Random(0), rate)
 
     def test_zipf_search_rates_top_and_decay(self):
         rates = zipf_search_rates(5, 1.0, 0.8)
